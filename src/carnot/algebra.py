@@ -17,8 +17,6 @@ from math import factorial
 
 import numpy as np
 
-from . import _kernels
-
 MAX_STEP = 6
 ATOL = 1e-12
 
@@ -188,12 +186,18 @@ class GradedGroup:
 
     # -- algebra operations ------------------------------------------------
 
+    def _bracket_rows(self, a, b):
+        """Rowwise Lie bracket of two (n, q) batches over the sparse tensor."""
+        out = np.zeros_like(a)
+        for k, i, j, c in zip(*self._sparse):
+            out[:, k] += c * a[:, i] * b[:, j]
+        return out
+
     def bracket(self, a, b):
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         a, b = np.broadcast_arrays(a, b)
-        out = _kernels.bracket_batch(self._sparse, np.ascontiguousarray(a),
-                                     np.ascontiguousarray(b))
+        out = self._bracket_rows(np.ascontiguousarray(a), np.ascontiguousarray(b))
         return out[0] if out.shape[0] == 1 else out
 
     def multiply(self, p, q):
@@ -207,8 +211,7 @@ class GradedGroup:
         for word, c in self._words:
             v = p2 if word[-1] == "x" else q2
             for letter in word[-2::-1]:
-                v = _kernels.bracket_batch(self._sparse,
-                                           p2 if letter == "x" else q2, v)
+                v = self._bracket_rows(p2 if letter == "x" else q2, v)
             out += c * v
         scalar = (np.asarray(p).ndim == 1 and np.asarray(q).ndim == 1)
         return out[0] if scalar else out
@@ -238,9 +241,10 @@ class GradedGroup:
 
     def layer_norms(self, p):
         """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes."""
-        p2 = np.atleast_2d(np.asarray(p, dtype=float))
-        sq = _kernels.norm_sq_layers(np.ascontiguousarray(p2),
-                                     self.layer_starts, self.layer_ends)
+        p2 = np.ascontiguousarray(np.atleast_2d(np.asarray(p, dtype=float)))
+        sq = np.empty((p2.shape[0], self.step))
+        for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
+            sq[:, j] = np.einsum("nc,nc->n", p2[:, s:e], p2[:, s:e])
         out = np.sqrt(sq)
         return out[0] if np.asarray(p).ndim == 1 else out
 
@@ -282,43 +286,61 @@ def structure_constants_from_sparse(step, layer_dims, entries):
     return StructureConstants(step=step, layer_dims=tuple(layer_dims), bracket=c)
 
 
+def _preset_constants(name) -> StructureConstants:
+    if name == "heisenberg1":
+        return structure_constants_from_sparse(2, (2, 1), [[3, 1, 2, 1.0]])
+    if name == "engel":
+        return structure_constants_from_sparse(3, (2, 1, 1),
+                                               [[3, 1, 2, 1.0], [4, 1, 3, 1.0]])
+    if isinstance(name, str) and name.startswith("abelian:"):
+        try:
+            n = int(name.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigurationError(f"abelian dimension in {name!r} is not an "
+                                     "integer") from exc
+        if n < 1:
+            raise ConfigurationError(f"abelian dimension must be >= 1, got {n}")
+        return structure_constants_from_sparse(1, (n,), [])
+    raise ConfigurationError(f"unknown group preset {name!r}")
+
+
 def preset_group(name: str) -> GradedGroup:
     """Named presets: 'heisenberg1', 'abelian:<n>', 'engel'.
 
     heisenberg1 uses the normalization [e1, e2] = e3; engel additionally
     has [e1, e3] = e4.
     """
-    if name == "heisenberg1":
-        sc = structure_constants_from_sparse(2, (2, 1), [[3, 1, 2, 1.0]])
-    elif name == "engel":
-        sc = structure_constants_from_sparse(3, (2, 1, 1),
-                                             [[3, 1, 2, 1.0], [4, 1, 3, 1.0]])
-    elif name.startswith("abelian:"):
-        n = int(name.split(":", 1)[1])
-        if n < 1:
-            raise ConfigurationError(f"abelian dimension must be >= 1, got {n}")
-        sc = structure_constants_from_sparse(1, (n,), [])
-    else:
-        raise ConfigurationError(f"unknown group preset {name!r}")
-    return GradedGroup(sc)
+    return GradedGroup(_preset_constants(name))
+
+
+def structure_constants_from_dict(spec) -> StructureConstants:
+    """Structure constants of a parsed group definition, not yet validated.
+
+    `spec` is a preset name, `{"preset": name}` or
+    `{"step": ..., "layer_dims": [...], "bracket": [[k, i, j, value], ...]}`.
+    Malformed definitions raise ConfigurationError; grading and Jacobi are
+    left to `validate_grading`.
+    """
+    if isinstance(spec, str):
+        return _preset_constants(spec)
+    try:
+        if "preset" in spec:
+            return _preset_constants(spec["preset"])
+        unknown = set(spec) - {"step", "layer_dims", "bracket"}
+        if unknown:
+            raise ConfigurationError(f"unknown group keys: {sorted(unknown)}")
+        step = int(spec["step"])
+        layer_dims = tuple(int(d) for d in spec["layer_dims"])
+        return structure_constants_from_sparse(step, layer_dims, spec.get("bracket", []))
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed group spec: {exc!r}") from exc
 
 
 def group_from_dict(spec) -> GradedGroup:
-    """Group from a parsed definition tree (see `preset` or step/layer_dims/bracket)."""
-    if isinstance(spec, str):
-        return preset_group(spec)
-    if "preset" in spec:
-        return preset_group(spec["preset"])
-    unknown = set(spec) - {"step", "layer_dims", "bracket"}
-    if unknown:
-        raise ConfigurationError(f"unknown group keys: {sorted(unknown)}")
-    try:
-        step = int(spec["step"])
-        layer_dims = tuple(int(d) for d in spec["layer_dims"])
-        entries = spec.get("bracket", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed group spec: {exc}") from exc
-    return GradedGroup(structure_constants_from_sparse(step, layer_dims, entries))
+    """Group from a parsed definition tree (see `structure_constants_from_dict`)."""
+    return GradedGroup(structure_constants_from_dict(spec))
 
 
 def load_group(path) -> GradedGroup:

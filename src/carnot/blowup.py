@@ -11,7 +11,7 @@ characteristic points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,12 +34,11 @@ def _require_heisenberg(g: GradedGroup):
 
 @dataclass
 class SurfacePatch:
-    """Parametrized surface (u, v) -> heisenberg1, with optional partials."""
+    """Parametrized surface (u, v) -> heisenberg1."""
 
     group: GradedGroup
     fn: Callable  # (U, V) arrays -> (..., 3)
     domain: tuple  # ((u0, u1), (v0, v1))
-    partials: Optional[Callable] = None  # (U, V) -> (dPhi/du, dPhi/dv)
 
     def __post_init__(self):
         _require_heisenberg(self.group)
@@ -59,9 +58,7 @@ class SurfacePatch:
         return np.asarray(self.fn(np.asarray(U, dtype=float), np.asarray(V, dtype=float)))
 
     def tangents(self, U, V):
-        if self.partials is not None:
-            pu, pv = self.partials(np.asarray(U, dtype=float), np.asarray(V, dtype=float))
-            return np.asarray(pu, dtype=float), np.asarray(pv, dtype=float)
+        """Central finite-difference partials (dPhi/du, dPhi/dv)."""
         h = FD_STEP
         pu = (self.points(U + h, V) - self.points(U - h, V)) / (2 * h)
         pv = (self.points(U, V + h) - self.points(U, V - h)) / (2 * h)
@@ -93,12 +90,16 @@ class MuEstimate:
 
 @dataclass(frozen=True)
 class BlowupReport:
-    limit: float
+    curve: DensityCurve
     beta: float
     beta_error: float
     gap: float
     tol: float
     ok: bool
+
+    @property
+    def limit(self):
+        return self.curve.limit
 
 
 def frame_components(points, vecs):
@@ -367,7 +368,7 @@ def blowup_check(patch: SurfacePatch, d: DistanceSpec, u, v,
     rep = spherical_factor(d, tangent, **opts)
     tol = rel_tol * abs(rep.beta) + 3.0 * rep.beta_error
     gap = curve.limit - rep.beta
-    return BlowupReport(limit=curve.limit, beta=rep.beta, beta_error=rep.beta_error,
+    return BlowupReport(curve=curve, beta=rep.beta, beta_error=rep.beta_error,
                         gap=float(gap), tol=float(tol), ok=bool(abs(gap) <= tol))
 
 
@@ -375,11 +376,10 @@ def blowup_check(patch: SurfacePatch, d: DistanceSpec, u, v,
 
 @dataclass
 class LevelSetSpec:
-    """f: heisenberg1 -> R with an optional analytic gradient."""
+    """f: heisenberg1 -> R, differentiated by central finite differences."""
 
     group: GradedGroup
     fn: Callable  # (n, 3) -> (n,)
-    grad: Optional[Callable] = None  # (n, 3) -> (n, 3)
 
     def __post_init__(self):
         _require_heisenberg(self.group)
@@ -389,8 +389,6 @@ class LevelSetSpec:
 
     def gradient(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.grad is not None:
-            return np.asarray(self.grad(pts), dtype=float)
         h = FD_STEP
         cols = []
         for a in range(3):
@@ -453,9 +451,6 @@ def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,
     graph points, where V = span{e1}, W = span{e2, e3}, J_V f = X f and
     J_H f = sqrt((X f)^2 + (Y f)^2).  Requires X f > 0 on the region.
     """
-    if d.kind != "multiradial":
-        raise ConfigurationError("the level-set area formula assumes a "
-                                 "multiradial distance")
     (u0, u1), (v0, v1) = region
     uu = u0 + (u1 - u0) * (np.arange(n_grid) + 0.5) / n_grid
     vv = v0 + (v1 - v0) * (np.arange(n_grid) + 0.5) / n_grid

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import blowup, factor, metrics
 from .algebra import (ConfigurationError, GradedGroup, group_law_checks,
-                      preset_group, structure_constants_from_sparse,
-                      validate_grading)
+                      structure_constants_from_dict, validate_grading)
 from .config import ExperimentConfig, load_config
 
 EXIT_OK = 0
@@ -86,17 +85,7 @@ def write_csv(path, report: RunReport):
 # -- subcommands -------------------------------------------------------------
 
 def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
-    spec = cfg.require("group")
-    if isinstance(spec, str) or "preset" in spec:
-        name = spec if isinstance(spec, str) else spec["preset"]
-        sc = preset_group(name).sc
-    else:
-        unknown = set(spec) - {"step", "layer_dims", "bracket"}
-        if unknown:
-            raise ConfigurationError(f"unknown group keys: {sorted(unknown)}")
-        sc = structure_constants_from_sparse(int(spec["step"]),
-                                             tuple(int(d) for d in spec["layer_dims"]),
-                                             spec.get("bracket", []))
+    sc = structure_constants_from_dict(cfg.require("group"))
     rep = RunReport("check-group", cfg.digest, seed,
                     columns=("check", "ok", "residual", "tol"))
     grading = validate_grading(sc)
@@ -181,7 +170,7 @@ def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
         patch, d, u, v, radii=radii, n_grid=n_grid,
         factor_opts={"seed": seed,
                      "n_mc": samples or int(cfg.get("samples", 100000))})
-    curve = blowup.density_curve(patch, d, u, v, radii, n_grid=n_grid)
+    curve = check.curve
     rep = RunReport("blowup", cfg.digest, seed, columns=("r", "ratio", "err"))
     for r, ratio in zip(curve.radii, curve.ratios):
         rep.rows.append((r, ratio, curve.uncertainty))

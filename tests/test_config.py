@@ -7,6 +7,7 @@ from carnot.algebra import ConfigurationError, preset_group
 from carnot.blowup import LevelSetSpec, SurfacePatch
 from carnot.config import (ExperimentConfig, compile_expression,
                            distance_from_dict, load_config, surface_from_dict)
+from carnot.metrics import MultiradialProfile
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +49,7 @@ class TestDistanceSpecs:
     def test_families(self, g):
         assert distance_from_dict(g, {"family": "dinf"}).name.startswith("dinf")
         d = distance_from_dict(g, {"family": "koranyi", "params": {"gamma": 16}})
-        assert d.kind == "multiradial"
+        assert isinstance(d.profile, MultiradialProfile)
         a = preset_group("abelian:3")
         assert distance_from_dict(a, "euclidean").convex_ball
 
@@ -125,4 +126,4 @@ class TestExperimentConfig:
                                     "distance": {"family": "dinf"}}))
         cfg = load_config(path)
         assert cfg.group().layer_dims == (2, 1)
-        assert cfg.distance(cfg.group()).kind == "multiradial"
+        assert isinstance(cfg.distance(cfg.group()).profile, MultiradialProfile)

@@ -2,7 +2,7 @@
 graded nilpotent groups."""
 
 from .algebra import (ConfigurationError, GradedGroup, StructureConstants,
-                      preset_group, group_from_dict, load_group)
+                      preset_group, group_from_dict)
 from .metrics import (DistanceSpec, MultiradialProfile, check_axioms, dinf,
                       euclidean, from_profile, hebisch_sikora, koranyi)
 from .subgroups import (ComplementaryPair, HomSubspace, is_normal,
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "GradedGroup", "StructureConstants",
-    "preset_group", "group_from_dict", "load_group",
+    "preset_group", "group_from_dict",
     "DistanceSpec", "MultiradialProfile", "check_axioms", "dinf",
     "euclidean", "from_profile", "hebisch_sikora", "koranyi",
     "ComplementaryPair", "HomSubspace", "is_normal", "is_subgroup",

@@ -9,7 +9,6 @@ group of step <= MAX_STEP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,6 +17,8 @@ from math import factorial
 import numpy as np
 
 MAX_STEP = 6
+# validate_grading holds q^4 floats per Jacobi term: 134 MB at q = 64
+MAX_DIMENSION = 64
 ATOL = 1e-12
 
 
@@ -153,7 +154,7 @@ class GradedGroup:
         self.step = sc.step
         self.layer_dims = tuple(sc.layer_dims)
         self.q = sc.q
-        self.Q = hausdorff_dimension_from_layers(self.layer_dims)
+        self.Q = int(sum(j * d for j, d in enumerate(self.layer_dims, start=1)))
         if self.step > MAX_STEP:
             raise ConfigurationError(f"step {self.step} exceeds supported maximum {MAX_STEP}")
 
@@ -232,13 +233,6 @@ class GradedGroup:
         p = np.asarray(p, dtype=float)
         return p[..., self.layer_starts[j - 1]:self.layer_ends[j - 1]]
 
-    def embed_layer(self, j, block):
-        if not 1 <= j <= self.step:
-            raise ValueError(f"layer index {j} out of range 1..{self.step}")
-        out = np.zeros(self.q)
-        out[self.layer_starts[j - 1]:self.layer_ends[j - 1]] = block
-        return out
-
     def layer_norms(self, p):
         """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes."""
         p2 = np.ascontiguousarray(np.atleast_2d(np.asarray(p, dtype=float)))
@@ -252,14 +246,6 @@ class GradedGroup:
         return f"GradedGroup(step={self.step}, layer_dims={self.layer_dims}, Q={self.Q})"
 
 
-def hausdorff_dimension_from_layers(layer_dims):
-    return int(sum(j * d for j, d in enumerate(layer_dims, start=1)))
-
-
-def hausdorff_dimension(g: GradedGroup) -> int:
-    return g.Q
-
-
 # -- construction helpers --------------------------------------------------
 
 def structure_constants_from_sparse(step, layer_dims, entries):
@@ -269,6 +255,9 @@ def structure_constants_from_sparse(step, layer_dims, entries):
     is not given explicitly.
     """
     q = sum(layer_dims)
+    if q > MAX_DIMENSION:
+        raise ConfigurationError(
+            f"group dimension q = {q} exceeds the supported maximum {MAX_DIMENSION}")
     c = np.zeros((q, q, q))
     given = set()
     for ent in entries:
@@ -316,7 +305,7 @@ def preset_group(name: str) -> GradedGroup:
 def structure_constants_from_dict(spec) -> StructureConstants:
     """Structure constants of a parsed group definition, not yet validated.
 
-    `spec` is a preset name, `{"preset": name}` or
+    `spec` is a preset name, `{"preset": name}` (no other key) or
     `{"step": ..., "layer_dims": [...], "bracket": [[k, i, j, value], ...]}`.
     Malformed definitions raise ConfigurationError; grading and Jacobi are
     left to `validate_grading`.
@@ -324,11 +313,12 @@ def structure_constants_from_dict(spec) -> StructureConstants:
     if isinstance(spec, str):
         return _preset_constants(spec)
     try:
-        if "preset" in spec:
-            return _preset_constants(spec["preset"])
-        unknown = set(spec) - {"step", "layer_dims", "bracket"}
+        allowed = {"preset"} if "preset" in spec else {"step", "layer_dims", "bracket"}
+        unknown = set(spec) - allowed
         if unknown:
             raise ConfigurationError(f"unknown group keys: {sorted(unknown)}")
+        if "preset" in spec:
+            return _preset_constants(spec["preset"])
         step = int(spec["step"])
         layer_dims = tuple(int(d) for d in spec["layer_dims"])
         return structure_constants_from_sparse(step, layer_dims, spec.get("bracket", []))
@@ -341,11 +331,6 @@ def structure_constants_from_dict(spec) -> StructureConstants:
 def group_from_dict(spec) -> GradedGroup:
     """Group from a parsed definition tree (see `structure_constants_from_dict`)."""
     return GradedGroup(structure_constants_from_dict(spec))
-
-
-def load_group(path) -> GradedGroup:
-    with open(path) as fh:
-        return group_from_dict(json.load(fh))
 
 
 # -- randomized group-law suites -------------------------------------------

@@ -86,6 +86,7 @@ class DensityCurve:
 class MuEstimate:
     value: float
     truncated: bool
+    box: Optional[tuple]  # the parameter rectangle integrated, None on a miss
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def frame_components(points, vecs):
 
 
 def _wedge_frame(patch: SurfacePatch, U, V):
-    """Unnormalized wedge components (w_XY, w_XT, w_YT) of the tangent plane."""
+    """Points, tangent wedge (w_XY, w_XT, w_YT) and frame partials (f1, f2)."""
     pts = patch.points(U, V)
     pu, pv = patch.tangents(U, V)
     f1 = frame_components(pts, pu)
@@ -120,12 +121,12 @@ def _wedge_frame(patch: SurfacePatch, U, V):
     w_xy = f1[..., 0] * f2[..., 1] - f1[..., 1] * f2[..., 0]
     w_xt = f1[..., 0] * f2[..., 2] - f1[..., 2] * f2[..., 0]
     w_yt = f1[..., 1] * f2[..., 2] - f1[..., 2] * f2[..., 1]
-    return pts, np.stack([w_xy, w_xt, w_yt], axis=-1)
+    return pts, np.stack([w_xy, w_xt, w_yt], axis=-1), (f1, f2)
 
 
 def tangent_bivector_components(patch: SurfacePatch, u, v):
     """Unit 2-vector components (c_XY, c_XT, c_YT) of the tangent at (u, v)."""
-    _, w = _wedge_frame(patch, np.asarray([u]), np.asarray([v]))
+    _, w, _ = _wedge_frame(patch, np.asarray([u]), np.asarray([v]))
     w = w[0]
     norm = np.linalg.norm(w)
     if norm < 1e-12:
@@ -135,7 +136,7 @@ def tangent_bivector_components(patch: SurfacePatch, u, v):
 
 def degree3_density(patch: SurfacePatch, U, V):
     """|tau_{Sigma,3}| times the Riemannian area element, batched."""
-    _, w = _wedge_frame(patch, U, V)
+    _, w, _ = _wedge_frame(patch, U, V)
     return np.hypot(w[..., 1], w[..., 2])
 
 
@@ -146,11 +147,8 @@ def homogeneous_tangent(patch: SurfacePatch, u, v) -> TangentReport:
     with the horizontal frame plane; at characteristic points (degree 2)
     no subspace is returned.
     """
-    pts, w = _wedge_frame(patch, np.asarray([u]), np.asarray([v]))
-    p = pts[0]
-    pu, pv = patch.tangents(np.asarray([u]), np.asarray([v]))
-    f1 = frame_components(p, pu[0])
-    f2 = frame_components(p, pv[0])
+    pts, w, (f1, f2) = _wedge_frame(patch, np.asarray([u]), np.asarray([v]))
+    p, f1, f2 = pts[0], f1[0], f2[0]
     density = np.hypot(w[0, 1], w[0, 2]) / np.linalg.norm(w[0])
     if density <= DEGREE3_DENSITY_FLOOR:
         return TangentReport(point=p, degree=2, tangent=None)
@@ -164,6 +162,15 @@ def homogeneous_tangent(patch: SurfacePatch, u, v) -> TangentReport:
 
 # -- quadrature of the surface measure --------------------------------------
 
+def _midpoint_grid(box, n):
+    """Flattened n x n midpoint-rule nodes (U, V) on `box`, and the cell area."""
+    (u0, u1), (v0, v1) = box
+    uu = u0 + (u1 - u0) * (np.arange(n) + 0.5) / n
+    vv = v0 + (v1 - v0) * (np.arange(n) + 0.5) / n
+    U, V = np.meshgrid(uu, vv, indexing="ij")
+    return U.ravel(), V.ravel(), (u1 - u0) * (v1 - v0) / (n * n)
+
+
 def _cross_hits(patch, d, center, r, axis, value, span, n=2048):
     """Whether the ball meets the patch on the line {axis coordinate = value}."""
     tt = np.linspace(span[0], span[1], n)
@@ -174,16 +181,13 @@ def _cross_hits(patch, d, center, r, axis, value, span, n=2048):
 
 def _hit_cell_bounds(patch, d, center, r, box, n=512):
     """Bounding box of ball-membership grid hits inside `box`, or None."""
-    (umin, umax), (vmin, vmax) = box
-    uu = umin + (umax - umin) * (np.arange(n) + 0.5) / n
-    vv = vmin + (vmax - vmin) * (np.arange(n) + 0.5) / n
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    inside = d.ball_contains(center, r, patch.points(U.ravel(), V.ravel()))
-    inside = inside.reshape(n, n)
+    U, V, _ = _midpoint_grid(box, n)
+    inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
     if not np.any(inside):
         return None
     iu = np.nonzero(np.any(inside, axis=1))[0]
     iv = np.nonzero(np.any(inside, axis=0))[0]
+    uu, vv = U[::n], V[:n]  # the grid's u and v axes
     return (uu[iu[0]], uu[iu[-1]]), (vv[iv[0]], vv[iv[-1]])
 
 
@@ -286,32 +290,18 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
     center = np.asarray(center, dtype=float)
     box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess)
     if box is None:
-        return MuEstimate(value=0.0, truncated=False)
-    return MuEstimate(value=_mu_on_box(patch, d, center, r, box, n_grid),
-                      truncated=truncated)
-
-
-def _mu_on_box(patch, d, center, r, box, n_grid):
-    (umin, umax), (vmin, vmax) = box
-    uu = umin + (umax - umin) * (np.arange(n_grid) + 0.5) / n_grid
-    vv = vmin + (vmax - vmin) * (np.arange(n_grid) + 0.5) / n_grid
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    U, V = U.ravel(), V.ravel()
+        return MuEstimate(value=0.0, truncated=False, box=None)
+    U, V, cell = _midpoint_grid(box, n_grid)
     dens = degree3_density(patch, U, V)
     inside = d.ball_contains(center, r, patch.points(U, V))
-    cell = (umax - umin) * (vmax - vmin) / (n_grid * n_grid)
-    return float(np.sum(dens * inside) * cell)
+    return MuEstimate(value=float(np.sum(dens * inside) * cell),
+                      truncated=truncated, box=box)
 
 
 def surface_measure_total(patch: SurfacePatch, n_grid: int = 512) -> float:
     """Degree-3 measure of the whole patch (no ball restriction)."""
-    (u0, u1), (v0, v1) = patch.domain
-    uu = u0 + (u1 - u0) * (np.arange(n_grid) + 0.5) / n_grid
-    vv = v0 + (v1 - v0) * (np.arange(n_grid) + 0.5) / n_grid
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    dens = degree3_density(patch, U.ravel(), V.ravel())
-    cell = (u1 - u0) * (v1 - v0) / (n_grid * n_grid)
-    return float(np.sum(dens) * cell)
+    U, V, cell = _midpoint_grid(patch.domain, n_grid)
+    return float(np.sum(degree3_density(patch, U, V)) * cell)
 
 
 def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
@@ -336,15 +326,13 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
     # so the probe resolution follows the shrinking (anisotropic) preimage
     box = None
     for r in radii:
-        found, trunc = _param_bounding_box(patch, d, p, r, guess=box)
-        if found is None:
-            ratios.append(0.0)
-            continue
-        box = found
-        truncated = truncated or trunc
-        ratios.append(_mu_on_box(patch, d, p, r, box, n_grid) / r ** 3)
-    rs = np.array(radii[-3:] if len(radii) >= 3 else radii)
-    ys = np.array(ratios[-3:] if len(ratios) >= 3 else ratios)
+        mu = mu_measure(patch, d, p, r, n_grid=n_grid, box_guess=box)
+        if mu.box is not None:
+            box = mu.box
+        truncated = truncated or mu.truncated
+        ratios.append(mu.value / r ** 3)
+    rs = np.array(radii[-3:])
+    ys = np.array(ratios[-3:])
     if len(rs) >= 2:
         slope, intercept = np.polyfit(rs, ys, 1)
         resid = float(np.max(np.abs(slope * rs + intercept - ys)))
@@ -451,11 +439,7 @@ def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,
     graph points, where V = span{e1}, W = span{e2, e3}, J_V f = X f and
     J_H f = sqrt((X f)^2 + (Y f)^2).  Requires X f > 0 on the region.
     """
-    (u0, u1), (v0, v1) = region
-    uu = u0 + (u1 - u0) * (np.arange(n_grid) + 0.5) / n_grid
-    vv = v0 + (v1 - v0) * (np.arange(n_grid) + 0.5) / n_grid
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    U, V = U.ravel(), V.ravel()
+    U, V, cell = _midpoint_grid(region, n_grid)
     _, pts = _graph_points(f, U, V)
     grad = f.gradient(pts)
     xf = grad[:, 0] - 0.5 * pts[:, 1] * grad[:, 2]
@@ -465,6 +449,5 @@ def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,
         raise ValueError(f"J_V f <= 0 at graph point {pts[i].tolist()}; the "
                          "area-formula hypothesis fails on this region")
     integrand = np.hypot(xf, yf) / xf
-    cell = (u1 - u0) * (v1 - v0) / (n_grid * n_grid)
     # |V ^ W| = 1 for the orthonormal frame (e1; e2, e3)
     return float(np.sum(integrand) * cell)

@@ -19,7 +19,7 @@ import numpy as np
 from . import blowup, factor, metrics
 from .algebra import (ConfigurationError, GradedGroup, group_law_checks,
                       structure_constants_from_dict, validate_grading)
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, checked_int, load_config
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -84,6 +84,13 @@ def write_csv(path, report: RunReport):
 
 # -- subcommands -------------------------------------------------------------
 
+def _mc_samples(cfg: ExperimentConfig, samples) -> int:
+    """Monte Carlo sample count: the --samples override, else the config's."""
+    if samples is not None:
+        return checked_int(samples, "--samples", factor.MIN_MC_SAMPLES)
+    return cfg.integer("samples", 100000, factor.MIN_MC_SAMPLES)
+
+
 def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     sc = structure_constants_from_dict(cfg.require("group"))
     rep = RunReport("check-group", cfg.digest, seed,
@@ -121,9 +128,8 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     g = cfg.group()
     d = cfg.distance(g)
     V = cfg.subspace(g)
-    res = factor.spherical_factor(d, V, n_starts=int(cfg.get("n_starts", 16)),
-                                  n_mc=samples or int(cfg.get("samples", 100000)),
-                                  seed=seed)
+    res = factor.spherical_factor(d, V, n_starts=cfg.integer("n_starts", 16),
+                                  n_mc=_mc_samples(cfg, samples), seed=seed)
     cols = (["beta", "beta_error", "center_gap", "gap_error", "n_starts",
              "n_mc", "seed", "boundary_argmax"]
             + [f"z{i + 1}" for i in range(g.q)])
@@ -140,12 +146,11 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     g = cfg.group()
     d = cfg.distance(g)
-    signature = tuple(int(n) for n in cfg.require("signature"))
-    k = int(cfg.require("k"))
-    res = factor.rotational_sweep(d, signature, k,
-                                  n_starts=int(cfg.get("n_starts", 6)),
-                                  n_mc=samples or int(cfg.get("samples", 100000)),
-                                  seed=seed)
+    signature = tuple(checked_int(n, "signature entry", 0)
+                      for n in cfg.require("signature"))
+    res = factor.rotational_sweep(d, signature, cfg.integer("k"),
+                                  n_starts=cfg.integer("n_starts", 6),
+                                  n_mc=_mc_samples(cfg, samples), seed=seed)
     rep = RunReport("sweep", cfg.digest, seed,
                     columns=("index", "beta", "beta_error"))
     for i, (b, e) in enumerate(zip(res.betas, res.std_errors)):
@@ -165,11 +170,9 @@ def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
         raise ConfigurationError("blowup needs a surface of kind 'param'")
     u, v = (float(x) for x in cfg.require("point"))
     radii = tuple(float(r) for r in cfg.get("radii", (0.4, 0.2, 0.1)))
-    n_grid = int(cfg.get("n_grid", 512))
     check = blowup.blowup_check(
-        patch, d, u, v, radii=radii, n_grid=n_grid,
-        factor_opts={"seed": seed,
-                     "n_mc": samples or int(cfg.get("samples", 100000))})
+        patch, d, u, v, radii=radii, n_grid=cfg.integer("n_grid", 512),
+        factor_opts={"seed": seed, "n_mc": _mc_samples(cfg, samples)})
     curve = check.curve
     rep = RunReport("blowup", cfg.digest, seed, columns=("r", "ratio", "err"))
     for r, ratio in zip(curve.radii, curve.ratios):
@@ -191,7 +194,7 @@ def cmd_graph_area(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     if isinstance(surface, blowup.SurfacePatch):
         raise ConfigurationError("graph-area needs a surface of kind 'levelset'")
     f, region = surface
-    n_grid = int(cfg.get("n_grid", 256))
+    n_grid = cfg.integer("n_grid", 256)
     area = blowup.graph_area_levelset(f, region, d, n_grid=n_grid)
     patch = blowup.levelset_patch(f, region)
     surface_route = blowup.surface_measure_total(patch, n_grid=n_grid)
@@ -237,7 +240,10 @@ def main(argv=None):
     t0 = time.time()
     try:
         cfg = load_config(args.config)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+        seed = (checked_int(args.seed, "--seed", 0) if args.seed is not None
+                else cfg.integer("seed", 0, minimum=0))
+        if args.samples is not None:
+            checked_int(args.samples, "--samples", 1)
         report = COMMANDS[args.command](cfg, seed, args.samples)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -94,6 +94,19 @@ def _require_keys(d, allowed, required=(), where="config"):
         raise ConfigurationError(f"missing {where} keys: {sorted(missing)}")
 
 
+def checked_int(value, what, minimum):
+    """`value` as an int >= minimum; strings, bools and fractions are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < minimum):
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+# family -> (constructor, name of its one parameter)
+_FAMILIES = {"dinf": (dinf, "c"), "koranyi": (koranyi, "gamma"),
+             "hebisch_sikora": (hebisch_sikora, "eps")}
+
+
 def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceSpec:
     """Distance from `{family: ..., params: {...}}` (or a bare family name).
 
@@ -106,15 +119,10 @@ def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceS
     _require_keys(spec, {"family", "params"}, {"family"}, "distance")
     family = spec["family"]
     params = dict(spec.get("params", {}))
-    if family == "dinf":
-        _require_keys(params, {"c"}, where="dinf params")
-        return dinf(g, validate=validate, **params)
-    if family == "koranyi":
-        _require_keys(params, {"gamma"}, where="koranyi params")
-        return koranyi(g, validate=validate, **params)
-    if family == "hebisch_sikora":
-        _require_keys(params, {"eps"}, where="hebisch_sikora params")
-        return hebisch_sikora(g, validate=validate, **params)
+    if isinstance(family, str) and family in _FAMILIES:
+        build, param = _FAMILIES[family]
+        _require_keys(params, {param}, where=f"{family} params")
+        return build(g, validate=validate, **params)
     if family == "euclidean":
         _require_keys(params, set(), where="euclidean params")
         return euclidean(g)
@@ -165,7 +173,7 @@ def surface_from_dict(g: GradedGroup, spec):
 
 
 _TOP_KEYS = {"group", "distance", "subspace", "signature", "k", "surface",
-             "point", "radii", "n_grid", "region", "samples", "n_starts",
+             "point", "radii", "n_grid", "samples", "n_starts",
              "seed", "out"}
 
 
@@ -200,6 +208,11 @@ class ExperimentConfig:
 
     def get(self, key, default=None):
         return self.raw.get(key, default)
+
+    def integer(self, key, default=None, minimum=1):
+        """`key` as a checked integer; required when there is no default."""
+        value = self.require(key) if default is None else self.raw.get(key, default)
+        return checked_int(value, key, minimum)
 
 
 def load_config(path) -> ExperimentConfig:

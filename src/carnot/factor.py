@@ -25,6 +25,7 @@ from .metrics import DistanceSpec
 from .subgroups import HomSubspace, is_normal, subspace_from_signature_reference
 
 MAX_BOX_DOUBLINGS = 20
+MIN_MC_SAMPLES = 1000
 GL_NODES = 32
 MAX_QUAD_LAYER_DIM = 3
 
@@ -53,7 +54,6 @@ class FactorReport:
     n_mc: int
     seed: int
     boundary_argmax: bool
-    trace: tuple  # per start: (start, end, value)
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,6 @@ class ConvexNormalReport:
     @property
     def ok(self):
         return abs(self.gap) <= 3.0 * self.gap_error
-
-
-def validate_signature(g: GradedGroup, signature):
-    signature = tuple(int(n) for n in signature)
-    if len(signature) != g.step:
-        raise ConfigurationError("signature length must equal the group step")
-    for j, nj in enumerate(signature, start=1):
-        if not 0 <= nj <= g.layer_dims[j - 1]:
-            raise ConfigurationError(
-                f"signature entry n_{j}={nj} outside 0..dim H_{j}={g.layer_dims[j - 1]}")
-    if not 1 <= sum(signature) <= g.q:
-        raise ConfigurationError("signature must have total dimension in 1..q")
-    return signature
 
 
 # -- Monte Carlo oracle ----------------------------------------------------
@@ -126,8 +113,8 @@ def slice_volume_mc(d: DistanceSpec, V: HomSubspace, z, n: int = 100000,
     Deterministic for a fixed seed: all randomness is drawn from
     counter-based streams keyed by (seed, operation, block index).
     """
-    if n < 1000:
-        raise ValueError("n >= 1000 required for a usable estimate")
+    if n < MIN_MC_SAMPLES:
+        raise ValueError(f"n >= {MIN_MC_SAMPLES} required for a usable estimate")
     z = np.asarray(z, dtype=float)
     h = _bounding_halfwidths(d, V, z, seed)
     box_vol = float(np.prod(2.0 * h))
@@ -186,45 +173,30 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
     pts = np.zeros((1, g.q))
     wts = np.ones(1)
 
-    def shifted_center_and_args(j, pts):
-        """Psi_j (batch, dim H_j) and the rho arguments (batch, j-1)."""
-        u = np.atleast_2d(g.multiply(inv_z[None, :], pts))
-        psi = -g.project_layer(j, u)
-        targs = np.atleast_2d(g.layer_norms(u))[:, :j - 1]
-        return psi, targs
-
-    def radii(j, targs):
-        if j == 1:
-            return np.full(targs.shape[0], prof.rho1())
-        iota_head = np.zeros((targs.shape[0], iota))
-        iota_head[:, :j - 1] = targs
-        inside = prof(iota_head) < 1.0
-        out = np.zeros(targs.shape[0])
-        if np.any(inside):
-            out[inside] = np.atleast_1d(prof.rho_i(j, targs[inside]))
-        return out
-
     for j in range(1, iota + 1):
         nj = V.signature[j - 1]
         Bj = V.layer_bases[j - 1]  # (dim H_j, nj)
-        psi, targs = shifted_center_and_args(j, pts)
-        rho = radii(j, targs)
+        # Psi_j (batch, dim H_j) and the rho arguments (batch, j-1)
+        u = np.atleast_2d(g.multiply(inv_z[None, :], pts))
+        psi = -g.project_layer(j, u)
+        targs = np.atleast_2d(g.layer_norms(u))[:, :j - 1]
+        # rho_j, or 0 where the leading layers already leave the ball
+        head = np.zeros((targs.shape[0], iota))
+        head[:, :j - 1] = targs
+        inside = prof(head) < 1.0
+        rho = np.zeros(targs.shape[0])
+        if np.any(inside):
+            rho[inside] = np.atleast_1d(prof.rho_i(j, targs[inside]))
         zeta = psi @ Bj if nj else np.zeros((pts.shape[0], 0))
         perp = psi - (zeta @ Bj.T if nj else 0.0)
         r_sq = rho ** 2 - np.einsum("nc,nc->n", np.atleast_2d(perp), np.atleast_2d(perp))
         r_eff = np.sqrt(np.maximum(r_sq, 0.0))
-
-        if j == iota:
-            vals = unit_ball_volume(nj) * r_eff ** nj if nj else (r_sq >= 0.0).astype(float)
-            return VolumeEstimate(value=float(np.dot(wts, vals)), std_error=0.0,
-                                  n_samples=0, method="nested_quadrature")
-
-        if nj == 0:
-            # no layer-j freedom in V; the constraint folds into later rho args
+        if j == iota or nj == 0:
+            # the last layer has a closed form; with no layer-j freedom in V
+            # the constraint folds into later rho args
             continue
         # expand the batch over an nj-dimensional ball via nested sin maps
         for axis in range(nj):
-            m = pts.shape[0]
             coords = nodes1[None, :] * r_eff[:, None] + zeta[:, axis][:, None]
             w_new = wts[:, None] * weights1[None, :] * r_eff[:, None]
             col = np.zeros(g.q)
@@ -239,7 +211,9 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
         keep = wts > 0.0
         pts, wts = pts[keep], wts[keep]
 
-    raise AssertionError("unreachable")
+    vals = unit_ball_volume(nj) * r_eff ** nj if nj else (r_sq >= 0.0).astype(float)
+    return VolumeEstimate(value=float(np.dot(wts, vals)), std_error=0.0,
+                          n_samples=0, method="nested_quadrature")
 
 
 # -- spherical factor ------------------------------------------------------
@@ -247,8 +221,8 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
 def _project_to_unit_ball(d: DistanceSpec, z):
     nz = d.norm(z)
     if nz > 1.0:
-        return d.group.dilate(1.0 / nz, z), True
-    return np.asarray(z, dtype=float), False
+        return d.group.dilate(1.0 / nz, z)
+    return np.asarray(z, dtype=float)
 
 
 def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
@@ -259,14 +233,16 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
     The Monte Carlo objective uses common random numbers (one fixed seed for
     every evaluation) so each start runs Nelder-Mead on a frozen surface;
     centers leaving the unit ball are pulled back by dilation rescaling.
-    The winning center is re-estimated with 10x samples on a fresh stream.
+    The distinct end points (origin included) are re-scored with 10x
+    samples on a fresh stream; the largest score both picks the center and
+    is the reported beta, so with several candidates beta reads high.
     """
     g = d.group
     if not 1 <= V.n <= g.q - 1:
         raise ConfigurationError("spherical factor needs 1 <= dim V <= q - 1")
 
     def objective(z):
-        zc, _ = _project_to_unit_ball(d, z)
+        zc = _project_to_unit_ball(d, z)
         return -slice_volume_mc(d, V, zc, n=n_mc, seed=seed).value
 
     rng = randomness.stream(seed, randomness.OP_FACTOR_STARTS)
@@ -278,17 +254,11 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
             s = rng.uniform(0.0, 1.0) ** (1.0 / g.Q)
             starts.append(g.dilate(s / nu, u))
 
-    trace = []
+    candidates = [g.zero()]
     for z0 in starts:
         res = minimize(objective, z0, method="Nelder-Mead",
                        options=dict(maxiter=maxiter, xatol=1e-3, fatol=1e-9))
-        zc, _ = _project_to_unit_ball(d, res.x)
-        trace.append((np.asarray(z0), zc, float(-res.fun)))
-
-    # decide among the candidate centers (origin included) on a fresh,
-    # larger sample so the frozen search noise cannot bias the winner
-    candidates = [g.zero()]
-    for _, zc, _val in trace:
+        zc = _project_to_unit_ball(d, res.x)
         if all(np.abs(zc - c).max() > 5e-3 for c in candidates):
             candidates.append(zc)
     finals = [slice_volume_mc(d, V, c, n=10 * n_mc, seed=seed + 1) for c in candidates]
@@ -301,14 +271,7 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
     return FactorReport(beta=final.value, beta_error=final.std_error,
                         argmax_center=best_z, center_gap=gap, gap_error=gap_err,
                         n_starts=n_starts, n_mc=n_mc, seed=seed,
-                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6),
-                        trace=tuple(trace))
-
-
-def center_gap(d: DistanceSpec, V: HomSubspace, **opts):
-    """beta - volume at the origin, with its combined one-sigma error."""
-    rep = spherical_factor(d, V, **opts)
-    return rep.center_gap, rep.gap_error
+                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6))
 
 
 def random_subspace(g: GradedGroup, signature, seed: int = 0) -> HomSubspace:
@@ -317,16 +280,14 @@ def random_subspace(g: GradedGroup, signature, seed: int = 0) -> HomSubspace:
     Independent random orthogonal maps (QR of Gaussian matrices, sign
     fixed) rotate each layer of the reference subspace.
     """
-    signature = validate_signature(g, signature)
     ref = subspace_from_signature_reference(g, signature)
     rng = randomness.stream(seed, randomness.OP_RANDOM_SUBSPACE)
     bases = []
-    for j, nj in enumerate(signature, start=1):
-        dj = g.layer_dims[j - 1]
+    for dj, B in zip(g.layer_dims, ref.layer_bases):
         A = rng.standard_normal((dj, dj))
         Qm, R = np.linalg.qr(A)
         Qm = Qm * np.sign(np.diag(R))[None, :]
-        bases.append(Qm @ ref.layer_bases[j - 1])
+        bases.append(Qm @ B)
     return HomSubspace(group=g, layer_bases=bases)
 
 
@@ -340,7 +301,7 @@ def rotational_sweep(d: DistanceSpec, signature, k: int, n_starts: int = 6,
     """
     if k < 1:
         raise ValueError("k >= 1 subspaces required")
-    signature = validate_signature(d.group, signature)
+    signature = subspace_from_signature_reference(d.group, signature).signature
     betas, errs = [], []
     for i in range(k):
         V = random_subspace(d.group, signature, seed=seed * 1000 + i)

@@ -12,6 +12,7 @@ construction time instead of being trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -45,14 +46,15 @@ class MultiradialProfile:
 
     def _validate(self, n=512, seed=0):
         iota = self.group.step
+        # every test is written so that a NaN value of phi fails it
         z = self(np.zeros(iota))
-        if abs(float(z)) > 1e-12:
+        if not abs(float(z)) <= 1e-12:
             raise ConfigurationError(f"{self.name}: phi(0) = {z}, expected 0")
         rng = randomness.stream(seed, randomness.OP_PROPERTY_SAMPLES)
         t = rng.uniform(0.0, 4.0, (n, iota))
         bump = rng.uniform(0.0, 1.0, (n, iota)) * (rng.random((n, iota)) < 0.5)
         worse = self(t + bump) - self(t)
-        if worse.min() < -1e-10:
+        if not worse.min() >= -1e-10:
             i = int(np.argmin(worse))
             raise ConfigurationError(
                 f"{self.name}: phi is not monotone nondecreasing near t = {t[i].tolist()}")
@@ -64,31 +66,20 @@ class MultiradialProfile:
             while val <= 2.0 and s < 2.0 ** 40:
                 s *= 2.0
                 val = self(s * u)
-            if val <= 2.0:
+            if not val > 2.0:
                 raise ConfigurationError(
                     f"{self.name}: phi fails coercivity along direction {u.tolist()}")
 
     # -- rho functions -----------------------------------------------------
 
-    def rho1(self) -> float:
-        """sup{t >= 0 : phi(t, 0, ..., 0) < 1}."""
-        iota = self.group.step
-        probe = np.zeros(iota)
-        if float(self(probe)) >= 1.0:
-            raise ConfigurationError(f"{self.name}: phi(0) >= 1, empty ball interior")
-
-        def f(s):
-            t = np.zeros(np.shape(s) + (iota,))
-            t[..., 0] = s
-            return self(t)
-
-        return float(_sup_below_one(f, np.zeros(()))[()])
-
     def rho_i(self, i: int, t):
-        """sup{s >= 0 : phi(t_1, ..., t_{i-1}, s, 0, ..., 0) < 1}, batched over t."""
+        """sup{s >= 0 : phi(t_1, ..., t_{i-1}, s, 0, ..., 0) < 1}, batched over t.
+
+        rho_1 takes no leading arguments: `rho_i(1, [])`.
+        """
         iota = self.group.step
-        if not 2 <= i <= iota:
-            raise ValueError(f"layer index {i} out of range 2..{iota}")
+        if not 1 <= i <= iota:
+            raise ValueError(f"layer index {i} out of range 1..{iota}")
         scalar_in = np.asarray(t).ndim <= 1
         t = np.atleast_2d(np.asarray(t, dtype=float))
         if t.shape[-1] != i - 1:
@@ -275,21 +266,21 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
         Z = rng.uniform(-1, 1, (n, g.q))
         r = rng.uniform(0.1, 2.0, n)
 
-        dxy = _pair(d, X, Y)
-        dyz = _pair(d, Y, Z)
-        dxz = _pair(d, X, Z)
+        dxy = d.distance(X, Y)
+        dyz = d.distance(Y, Z)
+        dxz = d.distance(X, Z)
         viol = dxz - dxy - dyz
         i = int(np.argmax(viol))
         update("triangle", float(viol[i]), (X[i].tolist(), Y[i].tolist(), Z[i].tolist()))
 
-        dyx = _pair(d, Y, X)
+        dyx = d.distance(Y, X)
         sym = np.abs(dxy - dyx)
         i = int(np.argmax(sym))
         update("symmetry", float(sym[i]), (X[i].tolist(), Y[i].tolist()))
 
         Xr = np.stack([g.dilate(ri, xi) for ri, xi in zip(r[:64], X[:64])])
         Yr = np.stack([g.dilate(ri, yi) for ri, yi in zip(r[:64], Y[:64])])
-        hom = np.abs(_pair(d, Xr, Yr) - r[:64] * dxy[:64])
+        hom = np.abs(d.distance(Xr, Yr) - r[:64] * dxy[:64])
         i = int(np.argmax(hom))
         update("homogeneity", float(hom[i]), (X[i].tolist(), Y[i].tolist(), float(r[i])))
         done += n
@@ -299,15 +290,20 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
     return AxiomReport(checks=tuple(out), seed=seed, n_samples=n_samples)
 
 
-def _pair(d, X, Y):
-    g = d.group
-    u = g.multiply(g.inverse(X), Y)
-    return d._norm_multiradial(np.atleast_2d(u))
-
-
 # -- built-in families -----------------------------------------------------
 
-def _validated(d: DistanceSpec, validate, hint):
+def _family_parameter(family, name, value):
+    """A family constant as a float; anything but a finite number > 0 is refused."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+        raise ConfigurationError(
+            f"{family}: {name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _build(g, name, evaluator, convex_ball, validate, hint):
+    """Distance of a profile; with `validate`, the axiom sampler must pass."""
+    prof = MultiradialProfile(group=g, evaluator=evaluator, name=name)
+    d = DistanceSpec(group=g, profile=prof, convex_ball=convex_ball, name=name)
     if validate:
         rep = check_axioms(d, n_samples=20000, seed=0)
         if not rep.ok:
@@ -321,12 +317,10 @@ def dinf(g: GradedGroup, c: float = DINF_DEFAULT_C, validate: bool = True) -> Di
     """max(t1, c*sqrt(t2)) profile on step-2 groups."""
     if g.step != 2:
         raise ConfigurationError("dinf is defined on step-2 groups")
-    prof = MultiradialProfile(
-        group=g, name=f"dinf({c:g})",
-        evaluator=lambda t: np.maximum(t[..., 0], c * np.sqrt(t[..., 1])))
-    d = DistanceSpec(group=g, profile=prof,
-                     convex_ball=False, name=prof.name)
-    return _validated(d, validate, "decrease c")
+    c = _family_parameter("dinf", "c", c)
+    return _build(g, f"dinf({c:g})",
+                  lambda t: np.maximum(t[..., 0], c * np.sqrt(t[..., 1])),
+                  False, validate, "decrease c")
 
 
 def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
@@ -334,37 +328,29 @@ def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
     """Cygan-Koranyi gauge (t1^4 + gamma*t2^2)^(1/4) on heisenberg1-like groups."""
     if g.step != 2:
         raise ConfigurationError("koranyi is defined on step-2 groups")
-    prof = MultiradialProfile(
-        group=g, name=f"koranyi({gamma:g})",
-        evaluator=lambda t: (t[..., 0] ** 4 + gamma * t[..., 1] ** 2) ** 0.25)
-    d = DistanceSpec(group=g, profile=prof,
-                     convex_ball=False, name=prof.name)
-    return _validated(d, validate, "adjust gamma to the bracket normalization")
+    gamma = _family_parameter("koranyi", "gamma", gamma)
+    return _build(g, f"koranyi({gamma:g})",
+                  lambda t: (t[..., 0] ** 4 + gamma * t[..., 1] ** 2) ** 0.25,
+                  False, validate, "adjust gamma to the bracket normalization")
 
 
 def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
                    validate: bool = True) -> DistanceSpec:
     """Distance whose unit ball is the Euclidean ball of radius eps (convex)."""
-    prof = MultiradialProfile(
-        group=g, name=f"hebisch_sikora({eps:g})",
-        evaluator=lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps)
-    d = DistanceSpec(group=g, profile=prof,
-                     convex_ball=True, name=prof.name)
-    return _validated(d, validate, "decrease eps")
+    eps = _family_parameter("hebisch_sikora", "eps", eps)
+    return _build(g, f"hebisch_sikora({eps:g})",
+                  lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps,
+                  True, validate, "decrease eps")
 
 
 def euclidean(g: GradedGroup) -> DistanceSpec:
     """Euclidean distance; a homogeneous distance only on abelian groups."""
     if g.step != 1:
         raise ConfigurationError("euclidean distance is homogeneous only on abelian groups")
-    prof = MultiradialProfile(group=g, name="euclidean", evaluator=lambda t: t[..., 0])
-    return DistanceSpec(group=g, profile=prof,
-                        convex_ball=True, name="euclidean")
+    return _build(g, "euclidean", lambda t: t[..., 0], True, False, None)
 
 
 def from_profile(g: GradedGroup, evaluator, name="profile", convex_ball=False,
                  validate: bool = True) -> DistanceSpec:
-    prof = MultiradialProfile(group=g, evaluator=evaluator, name=name)
-    d = DistanceSpec(group=g, profile=prof,
-                     convex_ball=convex_ball, name=name)
-    return _validated(d, validate, "profile does not induce a distance")
+    return _build(g, name, evaluator, convex_ball, validate,
+                  "profile does not induce a distance")

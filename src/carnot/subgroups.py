@@ -104,8 +104,11 @@ def subspace_from_vectors(g: GradedGroup, vectors) -> HomSubspace:
 
 def subspace_from_signature_reference(g: GradedGroup, signature) -> HomSubspace:
     """The reference subspace of a signature: first n_j basis vectors per layer."""
+    signature = tuple(int(n) for n in signature)
     if len(signature) != g.step:
         raise ConfigurationError("signature length must equal the group step")
+    if sum(signature) < 1:
+        raise ConfigurationError("signature must have total dimension >= 1")
     bases = []
     for j, nj in enumerate(signature, start=1):
         dj = g.layer_dims[j - 1]
@@ -115,34 +118,27 @@ def subspace_from_signature_reference(g: GradedGroup, signature) -> HomSubspace:
     return HomSubspace(group=g, layer_bases=bases)
 
 
-def is_subgroup(V: HomSubspace, atol=ATOL) -> bool:
-    """Bracket closure [V, V] in V; equivalent to BCH closure for homogeneous V."""
+def _brackets_stay_in(V: HomSubspace, left, atol):
+    """Whether [a, b] lies in V for every column a of `left` and b of V's basis."""
     g = V.group
     B = V.ambient_basis
-    if V.n == 0:
-        return True
-    for a in range(V.n):
-        for b in range(a + 1, V.n):
-            br = g.bracket(B[:, a], B[:, b])
+    for a in np.asarray(left).T:
+        for b in B.T:
+            br = g.bracket(a, b)
             resid = br - B @ (B.T @ br)
             if np.abs(resid).max() > max(atol, 1e-12):
                 return False
     return True
+
+
+def is_subgroup(V: HomSubspace, atol=ATOL) -> bool:
+    """Bracket closure [V, V] in V; equivalent to BCH closure for homogeneous V."""
+    return _brackets_stay_in(V, V.ambient_basis, atol)
 
 
 def is_normal(V: HomSubspace, atol=ATOL) -> bool:
     """Bracket closure [G, V] in V on all basis pairs."""
-    g = V.group
-    B = V.ambient_basis
-    for i in range(g.q):
-        e = np.zeros(g.q)
-        e[i] = 1.0
-        for b in range(V.n):
-            br = g.bracket(e, B[:, b])
-            resid = br - B @ (B.T @ br)
-            if np.abs(resid).max() > max(atol, 1e-12):
-                return False
-    return True
+    return _brackets_stay_in(V, np.eye(V.group.q), atol)
 
 
 @dataclass

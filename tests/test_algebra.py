@@ -113,6 +113,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown group keys"):
             group_from_dict({"step": 2, "layer_dims": [2, 1], "brackets": []})
 
+    def test_extra_keys_next_to_preset_rejected(self):
+        with pytest.raises(ConfigurationError, match="typo"):
+            group_from_dict({"preset": "engel", "typo": 1})
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigurationError, match="preset"):
             preset_group("free:nope")

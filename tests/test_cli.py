@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -142,6 +143,55 @@ class TestGraphArea:
         assert run(["graph-area", "--config", cfg]) == 0
         row = capsys.readouterr().out
         assert "\n1 " in row or "\n1\n" in row or "1  " in row
+
+
+PARABOLOID = {"kind": "param",
+              "expr": {"x": "(u*u + v*v)/4", "y": "u", "t": "v"},
+              "domain": [[-1, 1], [-1, 1]]}
+
+
+class TestConfigFaults:
+    """Malformed numbers end as exit 3 with the offending field named."""
+
+    @pytest.mark.parametrize("command, payload, extra, cause", [
+        ("check-group", {"group": "engel", "seed": "abc"}, [], "seed must be"),
+        ("check-distance", {"group": "heisenberg1",
+                            "distance": {"family": "dinf", "params": {"c": "2"}}},
+         ["--samples", "1000"], "dinf: c"),
+        ("beta", {"group": "heisenberg1", "distance": {"family": "koranyi"},
+                  "subspace": "vertical_plane_x0"}, ["--samples", "10"], "samples must be"),
+        ("blowup", {"group": "heisenberg1", "distance": {"family": "dinf"},
+                    "surface": PARABOLOID, "point": [0, 0], "n_grid": 0},
+         [], "n_grid must be"),
+        ("check-distance", {"group": "heisenberg1",
+                            "distance": {"family": "dinf", "params": {"c": 2}}},
+         ["--samples", "-5"], "samples must be"),
+        ("sweep", {"group": "heisenberg1", "distance": {"family": "koranyi"},
+                   "signature": [1, 1], "k": 0}, [], "k must be"),
+    ], ids=["seed-string", "dinf-c-string", "beta-samples-10", "n_grid-0",
+            "samples-negative", "sweep-k-0"])
+    def test_bad_number_is_config_error(self, tmp_path, capsys, command, payload,
+                                        extra, cause):
+        cfg = write_cfg(tmp_path, "c.json", payload)
+        assert run([command, "--config", cfg, *extra]) == 3
+        assert cause in capsys.readouterr().err
+
+    def test_nan_distance_parameter_fails_closed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "b.json", {
+            "group": "heisenberg1",
+            "distance": {"family": "dinf", "params": {"c": float("nan")}},
+            "subspace": "vertical_plane_x0", "samples": 1000, "n_starts": 1})
+        assert run(["beta", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert "nan" in captured.err
+        assert "PASS" not in captured.out
+
+    def test_huge_group_refused_before_allocation(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "g.json", {"group": "abelian:100000"})
+        t0 = time.perf_counter()
+        assert run(["check-group", "--config", cfg]) == 3
+        assert time.perf_counter() - t0 < 5.0
+        assert "dimension" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -15,7 +15,7 @@ class TestProfiles:
     def test_dinf_radii(self, g):
         d = dinf(g, c=2.0)
         p = d.profile
-        assert p.rho1() == pytest.approx(1.0, rel=1e-9)
+        assert p.rho_i(1, []) == pytest.approx(1.0, rel=1e-9)
         # below the unit ball rim the vertical radius is 1/c^2
         assert p.rho_i(2, [0.5]) == pytest.approx(0.25, rel=1e-9)
         assert p.rho_i(2, [0.0]) == pytest.approx(0.25, rel=1e-9)
@@ -23,7 +23,7 @@ class TestProfiles:
     def test_koranyi_radii(self, g):
         d = koranyi(g)
         p = d.profile
-        assert p.rho1() == pytest.approx(1.0, rel=1e-9)
+        assert p.rho_i(1, []) == pytest.approx(1.0, rel=1e-9)
         for t1 in (0.0, 0.3, 0.9):
             expected = np.sqrt((1 - t1 ** 4) / 16.0)
             assert p.rho_i(2, [t1]) == pytest.approx(expected, rel=1e-8)

@@ -84,15 +84,17 @@ def write_csv(path, report: RunReport):
 
 # -- subcommands -------------------------------------------------------------
 
-def _mc_samples(cfg: ExperimentConfig, samples) -> int:
-    """Monte Carlo sample count: the --samples override, else the config's."""
+def _samples(cfg: ExperimentConfig, samples, default=100000,
+             minimum=factor.MIN_MC_SAMPLES) -> int:
+    """Sample count: the --samples override, else the config's, else `default`."""
     if samples is not None:
-        return checked_int(samples, "--samples", factor.MIN_MC_SAMPLES)
-    return cfg.integer("samples", 100000, factor.MIN_MC_SAMPLES)
+        return checked_int(samples, "--samples", minimum)
+    return cfg.integer("samples", default, minimum)
 
 
 def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     sc = structure_constants_from_dict(cfg.require("group"))
+    n_samples = _samples(cfg, samples, 10000, 1)
     rep = RunReport("check-group", cfg.digest, seed,
                     columns=("check", "ok", "residual", "tol"))
     grading = validate_grading(sc)
@@ -104,7 +106,7 @@ def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
         return rep
     g = GradedGroup(sc)
     rep.notes.append(f"group: step {g.step}, layer_dims {g.layer_dims}, Q = {g.Q}")
-    for chk in group_law_checks(g, n_samples=samples or 10000, seed=seed):
+    for chk in group_law_checks(g, n_samples=n_samples, seed=seed):
         rep.rows.append((chk.name, chk.ok, chk.worst, chk.tol))
         rep.verdicts.append(Verdict(chk.name, chk.ok, chk.worst, chk.tol))
     return rep
@@ -113,7 +115,8 @@ def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 def cmd_check_distance(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     g = cfg.group()
     d = cfg.distance(g, validate=False)
-    axioms = metrics.check_axioms(d, g, n_samples=samples or 100000, seed=seed)
+    axioms = metrics.check_axioms(d, g, n_samples=_samples(cfg, samples, 100000, 1),
+                                  seed=seed)
     rep = RunReport("check-distance", cfg.digest, seed,
                     columns=("axiom", "ok", "violation", "tol"))
     for chk in axioms.checks:
@@ -129,7 +132,7 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     d = cfg.distance(g)
     V = cfg.subspace(g)
     res = factor.spherical_factor(d, V, n_starts=cfg.integer("n_starts", 16),
-                                  n_mc=_mc_samples(cfg, samples), seed=seed)
+                                  n_mc=_samples(cfg, samples), seed=seed)
     cols = (["beta", "beta_error", "center_gap", "gap_error", "n_starts",
              "n_mc", "seed", "boundary_argmax"]
             + [f"z{i + 1}" for i in range(g.q)])
@@ -140,6 +143,7 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     rep.verdicts.append(Verdict("center_gap_within_3sigma",
                                 abs(res.center_gap) <= 3 * res.gap_error,
                                 res.center_gap, 3 * res.gap_error))
+    rep.notes.append(f"method: {res.method}")
     return rep
 
 
@@ -150,7 +154,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
                       for n in cfg.require("signature"))
     res = factor.rotational_sweep(d, signature, cfg.integer("k"),
                                   n_starts=cfg.integer("n_starts", 6),
-                                  n_mc=_mc_samples(cfg, samples), seed=seed)
+                                  n_mc=_samples(cfg, samples), seed=seed)
     rep = RunReport("sweep", cfg.digest, seed,
                     columns=("index", "beta", "beta_error"))
     for i, (b, e) in enumerate(zip(res.betas, res.std_errors)):
@@ -172,7 +176,7 @@ def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     radii = tuple(float(r) for r in cfg.get("radii", (0.4, 0.2, 0.1)))
     check = blowup.blowup_check(
         patch, d, u, v, radii=radii, n_grid=cfg.integer("n_grid", 512),
-        factor_opts={"seed": seed, "n_mc": _mc_samples(cfg, samples)})
+        factor_opts={"seed": seed, "n_mc": _samples(cfg, samples)})
     curve = check.curve
     rep = RunReport("blowup", cfg.digest, seed, columns=("r", "ratio", "err"))
     for r, ratio in zip(curve.radii, curve.ratios):

@@ -5,9 +5,11 @@ is the maximum over ball centers z of the Euclidean volume of V
 intersected with the unit metric ball at z.  Two independent volume
 oracles are provided: hit-or-miss Monte Carlo, which only queries ball
 membership, and a nested Gauss-Legendre quadrature of the layerwise Fubini
-reduction, which uses the profile's rho functions.  The maximization is
-multi-start Nelder-Mead on a common-random-numbers surface, so the
-objective is a deterministic function of the center for a fixed seed.
+reduction, which uses the profile's rho functions.  When V contains every
+layer above the first, the maximization runs on the quadrature oracle
+over the small horizontal complement of V; otherwise it is multi-start
+Nelder-Mead on a common-random-numbers surface, so the objective is a
+deterministic function of the center for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,17 +19,17 @@ from math import gamma as _gamma_fn
 from math import pi
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import randomness
 from .algebra import ConfigurationError, GradedGroup
-from .metrics import DistanceSpec
+from .metrics import RHO_ATOL, DistanceSpec
 from .subgroups import HomSubspace, is_normal, subspace_from_signature_reference
 
 MAX_BOX_DOUBLINGS = 20
 MIN_MC_SAMPLES = 1000
 GL_NODES = 32
 MAX_QUAD_LAYER_DIM = 3
+MAX_QUAD_BATCH = 1 << 16
 
 
 def unit_ball_volume(m: int) -> float:
@@ -46,14 +48,15 @@ class VolumeEstimate:
 @dataclass(frozen=True)
 class FactorReport:
     beta: float
-    beta_error: float  # one standard error of the final estimate
+    beta_error: float  # MC: one standard error; quadrature: an error bound
     argmax_center: np.ndarray
     center_gap: float
-    gap_error: float  # combined one-sigma error of the gap
+    gap_error: float  # hypot of the errors of beta and of the origin volume
     n_starts: int
     n_mc: int
     seed: int
     boundary_argmax: bool
+    method: str  # "nested_quadrature" | "mc"
 
 
 @dataclass(frozen=True)
@@ -230,16 +233,116 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
                      maxiter: int = 120) -> FactorReport:
     """Maximize the slice volume over ball centers in the unit metric ball.
 
-    The Monte Carlo objective uses common random numbers (one fixed seed for
-    every evaluation) so each start runs Nelder-Mead on a frozen surface;
-    centers leaving the unit ball are pulled back by dilation rescaling.
-    The distinct end points (origin included) are re-scored with 10x
-    samples on a fresh stream; the largest score both picks the center and
-    is the reported beta, so with several candidates beta reads high.
+    When V contains every layer above the first, V is an ideal and every
+    center factors as z = w * v with v in V and w the part of z_1 orthogonal
+    to V, so the slice volume at z equals the one at w.  If that horizontal
+    complement W has dimension 1 or 2 and the nested batch is small, the
+    search runs deterministically on nested quadrature over the ball
+    |w| <= rho_1 of W (`method == "nested_quadrature"`; n_starts, n_mc and
+    seed are then unused).  Every other V takes the Monte Carlo search.
     """
     g = d.group
     if not 1 <= V.n <= g.q - 1:
         raise ConfigurationError("spherical factor needs 1 <= dim V <= q - 1")
+    W = _quadrature_complement(V)
+    if W is not None:
+        return _quadrature_factor(d, V, W, seed, maxiter)
+    return _mc_factor(d, V, n_starts, n_mc, seed, maxiter)
+
+
+def _quadrature_complement(V: HomSubspace):
+    """Orthonormal basis of W = V^perp in H_1 if the quadrature search applies.
+
+    It applies when V's signature is (n_1, d_2, ..., d_iota), 1 <= dim W <= 2,
+    every n_j is at most MAX_QUAD_LAYER_DIM and the nested batch of
+    slice_volume_nested stays within MAX_QUAD_BATCH rows; otherwise None.
+    """
+    g = V.group
+    sig = V.signature
+    m = g.layer_dims[0] - sig[0]
+    if (sig[1:] != g.layer_dims[1:] or not 1 <= m <= 2
+            or max(sig) > MAX_QUAD_LAYER_DIM
+            or GL_NODES ** sum(sig[:-1]) > MAX_QUAD_BATCH):
+        return None
+    B1 = V.layer_bases[0]
+    u, _, _ = np.linalg.svd(np.eye(g.layer_dims[0]) - B1 @ B1.T)
+    return u[:, :m]
+
+
+def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed, maxiter):
+    """Grid plus Nelder-Mead on nested quadrature over the ball |w| <= rho_1 in W.
+
+    The error bar adds the n against 2n node gap at the argmax, the
+    bisection tolerance of the rho radii relative to rho_j(0), and the
+    spread of the final simplex when the Nelder-Mead point wins.
+    """
+    from scipy.optimize import minimize
+
+    g = d.group
+    prof = d.profile
+    m = W.shape[1]
+    rho1 = prof.rho_i(1, [])
+    rho_floor = sum(nj * RHO_ATOL / prof.rho_i(j, np.zeros(j - 1))
+                    for j, nj in enumerate(V.signature, start=1) if nj)
+
+    def center(c):
+        z = g.zero()
+        z[:g.layer_dims[0]] = W @ c
+        return z
+
+    def clip(c):
+        r = np.linalg.norm(c)
+        return c * (rho1 / r) if r > rho1 else c
+
+    def volume(c, n_nodes=GL_NODES):
+        return slice_volume_nested(d, V, center(c), n_nodes=n_nodes).value
+
+    def bar(c, value):
+        return abs(value - volume(c, 2 * GL_NODES)) + value * rho_floor
+
+    k = 10 if m == 1 else 5
+    axis = rho1 * np.arange(-k, k + 1) / k
+    grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
+    grid = grid[np.linalg.norm(grid, axis=1) <= rho1]
+    values = [volume(c) for c in grid]
+    c_grid = grid[int(np.argmax(values))]
+    res = minimize(lambda c: -volume(clip(c)), c_grid, method="Nelder-Mead",
+                   options=dict(maxiter=maxiter, xatol=1e-6 * rho1, fatol=1e-12,
+                                initial_simplex=np.vstack(
+                                    [c_grid, c_grid + (rho1 / k) * np.eye(m)])))
+
+    origin = np.zeros(m)
+    q0 = volume(origin)
+    centers = [origin, c_grid, clip(res.x)]
+    scores = [q0, max(values), float(-res.fun)]
+    i_best = int(np.argmax(scores))
+    beta, best = scores[i_best], centers[i_best]
+    origin_error = bar(origin, q0)
+    beta_error = origin_error if i_best == 0 else bar(best, beta)
+    if i_best == 2:
+        beta_error += float(np.ptp(res.final_simplex[1]))
+    best_z = center(best)
+    return FactorReport(beta=beta, beta_error=beta_error, argmax_center=best_z,
+                        center_gap=beta - q0,
+                        gap_error=float(np.hypot(beta_error, origin_error)),
+                        n_starts=0, n_mc=0, seed=seed,
+                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6),
+                        method="nested_quadrature")
+
+
+def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed, maxiter):
+    """Multi-start Nelder-Mead on a common-random-numbers Monte Carlo surface.
+
+    Every evaluation uses one fixed seed, so each start runs on a frozen
+    surface; centers leaving the unit ball are pulled back by dilation
+    rescaling.  The distinct end points (origin included) are re-scored
+    with 10x samples on a fresh stream; the largest score both picks the
+    center and is the reported beta, so with several candidates beta reads
+    high.
+    """
+    from scipy.optimize import minimize
+
+    g = d.group
 
     def objective(z):
         zc = _project_to_unit_ball(d, z)
@@ -271,7 +374,8 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
     return FactorReport(beta=final.value, beta_error=final.std_error,
                         argmax_center=best_z, center_gap=gap, gap_error=gap_err,
                         n_starts=n_starts, n_mc=n_mc, seed=seed,
-                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6))
+                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6),
+                        method="mc")
 
 
 def random_subspace(g: GradedGroup, signature, seed: int = 0) -> HomSubspace:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from carnot import blowup
+from carnot import blowup, cli, metrics
 from carnot.cli import main
 
 
@@ -79,6 +79,57 @@ class TestBeta:
         cfg = write_cfg(tmp_path, "b.json", {
             "group": "abelian:3", "distance": {"family": "euclidean"}})
         assert run(["beta", "--config", cfg]) == 3
+
+    def test_quadrature_csv_depends_on_seed_column_only(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "b.json", {
+            "group": "heisenberg1", "distance": {"family": "koranyi"},
+            "subspace": "vertical_plane_x0"})
+        rows = []
+        for seed in ("1", "2"):
+            out_csv = tmp_path / f"beta{seed}.csv"
+            assert run(["beta", "--config", cfg, "--seed", seed,
+                        "--out", str(out_csv)]) == 0
+            assert "method: nested_quadrature" in capsys.readouterr().out
+            head, row = out_csv.read_text().splitlines()
+            rows.append(dict(zip(head.split(","), row.split(","))))
+        assert rows[0]["seed"] == "1" and rows[1]["seed"] == "2"
+        assert rows[0]["n_mc"] == rows[0]["n_starts"] == "0"
+        del rows[0]["seed"], rows[1]["seed"]
+        assert rows[0] == rows[1]
+
+
+class TestSampleCounts:
+    """check-distance and check-group read the config's `samples` key."""
+
+    def test_check_distance_uses_config_samples(self, tmp_path, monkeypatch):
+        seen = []
+        original = metrics.check_axioms
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["n_samples"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "check_axioms", recording)
+        cfg = write_cfg(tmp_path, "d.json", {
+            "group": "heisenberg1", "distance": {"family": "dinf"},
+            "samples": 2000})
+        assert run(["check-distance", "--config", cfg]) == 0
+        assert seen == [2000]
+        assert run(["check-distance", "--config", cfg, "--samples", "3000"]) == 0
+        assert seen == [2000, 3000]
+
+    def test_check_group_uses_config_samples(self, tmp_path, monkeypatch):
+        seen = []
+        original = cli.group_law_checks
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["n_samples"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "group_law_checks", recording)
+        cfg = write_cfg(tmp_path, "g.json", {"group": "engel", "samples": 2000})
+        assert run(["check-group", "--config", cfg]) == 0
+        assert seen == [2000]
 
 
 class TestSweep:

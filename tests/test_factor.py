@@ -8,7 +8,7 @@ from carnot.factor import (convex_normal_check, random_subspace,
                            slice_volume_nested, spherical_factor,
                            unit_ball_volume)
 from carnot.metrics import dinf, euclidean, hebisch_sikora, koranyi
-from carnot.subgroups import subspace_from_vectors
+from carnot.subgroups import subspace_from_dict, subspace_from_vectors
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +98,62 @@ class TestSphericalFactor:
         assert unit_ball_volume(1) == pytest.approx(2.0)
         assert unit_ball_volume(2) == pytest.approx(np.pi)
         assert unit_ball_volume(3) == pytest.approx(4 * np.pi / 3)
+
+
+class TestQuadraturePath:
+    """V holds every layer above the first and dim W <= 2: deterministic beta."""
+
+    def test_deterministic_and_seed_free(self, heis, vertical):
+        d = koranyi(heis)
+        a = spherical_factor(d, vertical, seed=0)
+        b = spherical_factor(d, vertical, seed=7)
+        assert a.method == b.method == "nested_quadrature"
+        assert (a.n_starts, a.n_mc) == (0, 0)
+        assert a.beta == b.beta
+        assert a.beta_error == b.beta_error
+        np.testing.assert_array_equal(a.argmax_center, b.argmax_center)
+
+    @pytest.mark.parametrize("group, distance, span, truth", [
+        ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]], 1.0),
+        ("abelian:3", euclidean, [[1, 0, 0], [0, 1, 0]], np.pi),
+        ("engel", hebisch_sikora, np.eye(4)[1:], np.pi / 6),
+        ("heisenberg1", koranyi, [[0, 0, 1]], 0.5),  # W = H_1: a 2-D search
+    ], ids=["dinf-vertical", "euclidean-plane", "hebisch_sikora-engel",
+            "koranyi-center"])
+    def test_closed_forms(self, group, distance, span, truth):
+        g = preset_group(group)
+        rep = spherical_factor(distance(g), subspace_from_vectors(g, span))
+        assert rep.method == "nested_quadrature"
+        assert 0.0 < rep.beta_error < 1e-6
+        assert abs(rep.beta - truth) <= 3 * rep.beta_error
+        assert abs(rep.center_gap) <= 3 * rep.gap_error
+
+    @pytest.mark.parametrize("group, distance, span", [
+        ("heisenberg1", koranyi, [[0, 0, 1]]),
+        ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]]),
+        ("engel", hebisch_sikora, np.eye(4)[1:]),
+    ], ids=["koranyi-center", "dinf-vertical", "hebisch_sikora-engel"])
+    def test_matches_mc_at_argmax(self, group, distance, span):
+        g = preset_group(group)
+        d, V = distance(g), subspace_from_vectors(g, span)
+        rep = spherical_factor(d, V)
+        mc = slice_volume_mc(d, V, rep.argmax_center, n=1000000, seed=1)
+        assert abs(rep.beta - mc.value) <= 3 * np.hypot(mc.std_error, rep.beta_error)
+
+
+class TestMonteCarloFallback:
+    def test_horizontal_axis_keeps_mc_path(self, heis):
+        # V = span{e1} misses the centre, so no reduction applies
+        V = subspace_from_dict(heis, "horizontal_x_axis")
+        rep = spherical_factor(dinf(heis), V, n_starts=2, n_mc=20000, seed=0)
+        assert rep.method == "mc"
+        assert abs(rep.beta - 2.0) <= 3 * rep.beta_error
+        # the Monte Carlo search is unchanged, bit for bit
+        assert (rep.beta, rep.beta_error) == (2.00018, 0.004472135936887429)
+        assert (rep.center_gap, rep.gap_error) == (0.0031199999999997896,
+                                                   0.0063245518908457065)
+        assert rep.argmax_center.tolist() == [0.30561386533175916, 0.01253082643989931,
+                                              0.13624251996583175]
 
 
 class TestRandomSubspace:

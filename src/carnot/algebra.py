@@ -9,10 +9,12 @@ group of step <= MAX_STEP.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from numbers import Real
 
 import numpy as np
 
@@ -24,6 +26,32 @@ ATOL = 1e-12
 
 class ConfigurationError(ValueError):
     """Raised for malformed group/distance/subspace definitions."""
+
+
+def checked_int(value, what, minimum):
+    """`value` as an int >= minimum; strings, bools and fractions are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < minimum):
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def checked_real(value, what, positive=False):
+    """`value` as a finite float, > 0 when `positive`; strings and bools are refused."""
+    # the comparisons are False for NaN and exact for integers beyond float range
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not abs(value) <= sys.float_info.max or (positive and not value > 0)):
+        raise ConfigurationError(
+            f"{what} must be a finite number{' > 0' if positive else ''}, got {value!r}")
+    return float(value)
+
+
+def checked_reals(values, what, length=None, positive=False):
+    """A list of `length` (default: one or more) checked reals, as a tuple."""
+    if not isinstance(values, list) or not values or length not in (None, len(values)):
+        raise ConfigurationError(
+            f"{what} must be a list of {length or 'one or more'} numbers, got {values!r}")
+    return tuple(checked_real(x, f"{what} entry", positive) for x in values)
 
 
 @dataclass(frozen=True)
@@ -263,11 +291,10 @@ def structure_constants_from_sparse(step, layer_dims, entries):
     for ent in entries:
         if len(ent) != 4:
             raise ConfigurationError(f"bracket entry {ent!r} must be [k, i, j, value]")
-        k, i, j, v = ent
-        k, i, j = int(k) - 1, int(i) - 1, int(j) - 1
-        if not (0 <= k < q and 0 <= i < q and 0 <= j < q):
+        k, i, j = (checked_int(x, f"bracket entry {ent!r} index", 1) - 1 for x in ent[:3])
+        if not (k < q and i < q and j < q):
             raise ConfigurationError(f"bracket entry {ent!r} has an index outside 1..{q}")
-        c[k, i, j] = float(v)
+        c[k, i, j] = checked_real(ent[3], f"bracket entry {ent!r} value")
         given.add((k, i, j))
     for (k, i, j) in list(given):
         if (k, j, i) not in given:
@@ -319,8 +346,8 @@ def structure_constants_from_dict(spec) -> StructureConstants:
             raise ConfigurationError(f"unknown group keys: {sorted(unknown)}")
         if "preset" in spec:
             return _preset_constants(spec["preset"])
-        step = int(spec["step"])
-        layer_dims = tuple(int(d) for d in spec["layer_dims"])
+        step = checked_int(spec["step"], "step", 1)
+        layer_dims = tuple(checked_int(d, "layer_dims entry", 1) for d in spec["layer_dims"])
         return structure_constants_from_sparse(step, layer_dims, spec.get("bracket", []))
     except ConfigurationError:
         raise

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import ConfigurationError, GradedGroup
-from .metrics import DistanceSpec
+from .metrics import DistanceSpec, bisect
 from .subgroups import HomSubspace, subspace_from_vectors
 
 FD_STEP = 1e-6
@@ -191,19 +191,6 @@ def _hit_cell_bounds(patch, d, center, r, box, n=512):
     return (uu[iu[0]], uu[iu[-1]]), (vv[iv[0]], vv[iv[-1]])
 
 
-def _bisect_side(hits, lo, hi, scale):
-    """Boundary of a hit region; hits(lo) is False, hits(hi) is True."""
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if hits(mid):
-            hi = mid
-        else:
-            lo = mid
-        if abs(hi - lo) < 1e-12 * scale:
-            break
-    return lo
-
-
 def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                         guess=None):
     """Tight parameter rectangle containing the preimage of B(center, r).
@@ -229,6 +216,7 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
         return None, False
 
     # grow any side whose edge still meets the ball (domain edges stay put)
+    moved = False
     for _ in range(80):
         grew = False
         for axis, (dlo, dhi) in enumerate(((du0, du1), (dv0, dv1))):
@@ -244,9 +232,11 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                 grew = True
         if not grew:
             break
-    hits = _hit_cell_bounds(patch, d, center, r, box)
-    if hits is None:
-        return None, False
+        moved = True
+    if moved:
+        hits = _hit_cell_bounds(patch, d, center, r, box)
+        if hits is None:
+            return None, False
 
     blind = guess is None
     touches = False
@@ -255,17 +245,16 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
         span = tuple(box[1 - axis])
         scale = max(1.0, abs(box[axis][0]) + abs(box[axis][1]))
         cross = lambda x: _cross_hits(patch, d, center, r, axis, x, span)
-        lo, hi = box[axis]
-        hit_lo, hit_hi = hits[axis]
-        if cross(lo):
-            touches = True
-        else:
-            lo = _bisect_side(cross, lo, hit_lo, scale)
-        if cross(hi):
-            touches = True
-        else:
-            hi = _bisect_side(cross, hi, hit_hi, scale)
-        out.append((lo, hi))
+        side = []
+        # each free edge moves to the boundary of the hit region
+        for edge, hit in zip(box[axis], hits[axis]):
+            if cross(edge):
+                touches = True
+            else:
+                edge = float(bisect(lambda x: not cross(x), edge, hit,
+                                    lambda lo, hi: abs(hi - lo) < 1e-12 * scale, 50)[0])
+            side.append(edge)
+        out.append(tuple(side))
     box = (tuple(out[0]), tuple(out[1]))
     if blind:
         # re-tighten with probe spacing matched to the located region, so
@@ -346,14 +335,15 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
 def blowup_check(patch: SurfacePatch, d: DistanceSpec, u, v,
                  radii=(0.4, 0.2, 0.1), n_grid: int = 512, rel_tol: float = 0.02,
                  factor_opts=None) -> BlowupReport:
-    """Compare the extrapolated density at (u, v) with beta_d of the tangent."""
+    """Compare the extrapolated density at (u, v) with beta_d of the tangent.
+
+    `factor_opts` are passed on to `spherical_factor`.
+    """
     from .factor import spherical_factor
 
     curve = density_curve(patch, d, u, v, radii, n_grid=n_grid)
     tangent = homogeneous_tangent(patch, u, v).tangent
-    opts = dict(n_starts=6, n_mc=100000, seed=0)
-    opts.update(factor_opts or {})
-    rep = spherical_factor(d, tangent, **opts)
+    rep = spherical_factor(d, tangent, **(factor_opts or {}))
     tol = rel_tol * abs(rep.beta) + 3.0 * rep.beta_error
     gap = curve.limit - rep.beta
     return BlowupReport(curve=curve, beta=rep.beta, beta_error=rep.beta_error,
@@ -398,24 +388,15 @@ def _graph_points(f: LevelSetSpec, U, V, s_window=8.0):
 
     lo = np.full(U.shape, -s_window)
     hi = np.full(U.shape, s_window)
-    flo = f.value(pts(lo))
-    fhi = f.value(pts(hi))
-    bad = np.sign(flo) == np.sign(fhi)
+    sign_lo = np.sign(f.value(pts(lo)))
+    bad = sign_lo == np.sign(f.value(pts(hi)))
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(
             f"level set leaves the coset window |s|<={s_window} at "
             f"(u, v) = ({U.ravel()[i]:.6g}, {V.ravel()[i]:.6g})")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = f.value(pts(mid))
-        same = np.sign(fm) == np.sign(flo)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
-        if np.max(hi - lo) < 1e-13 * s_window:
-            break
-    s = 0.5 * (lo + hi)
+    _, _, s = bisect(lambda s: np.sign(f.value(pts(s))) == sign_lo, lo, hi,
+                     lambda lo, hi: np.max(hi - lo) < 1e-13 * s_window, 80)
     return s, pts(s)
 
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import blowup, factor, metrics
-from .algebra import (ConfigurationError, GradedGroup, group_law_checks,
+from .algebra import (ConfigurationError, GradedGroup, checked_int, group_law_checks,
                       structure_constants_from_dict, validate_grading)
-from .config import ExperimentConfig, checked_int, load_config
+from .config import ExperimentConfig, load_config
 
 EXIT_OK = 0
 EXIT_INVARIANT = 2
@@ -129,8 +129,8 @@ def cmd_check_distance(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     g = cfg.group()
-    d = cfg.distance(g)
     V = cfg.subspace(g)
+    d = cfg.distance(g)
     res = factor.spherical_factor(d, V, n_starts=cfg.integer("n_starts", 16),
                                   n_mc=_samples(cfg, samples), seed=seed)
     cols = (["beta", "beta_error", "center_gap", "gap_error", "n_starts",
@@ -148,10 +148,12 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 
 def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
+    entries = cfg.require("signature")
+    if not isinstance(entries, list):
+        raise ConfigurationError(f"signature must be a list of integers, got {entries!r}")
+    signature = tuple(checked_int(n, "signature entry", 0) for n in entries)
     g = cfg.group()
     d = cfg.distance(g)
-    signature = tuple(checked_int(n, "signature entry", 0)
-                      for n in cfg.require("signature"))
     res = factor.rotational_sweep(d, signature, cfg.integer("k"),
                                   n_starts=cfg.integer("n_starts", 6),
                                   n_mc=_samples(cfg, samples), seed=seed)
@@ -167,13 +169,13 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 
 def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
+    u, v = cfg.reals("point", length=2)
+    radii = cfg.reals("radii", [0.4, 0.2, 0.1], positive=True)
     g = cfg.group()
     d = cfg.distance(g)
     patch = cfg.surface(g)
     if not isinstance(patch, blowup.SurfacePatch):
         raise ConfigurationError("blowup needs a surface of kind 'param'")
-    u, v = (float(x) for x in cfg.require("point"))
-    radii = tuple(float(r) for r in cfg.get("radii", (0.4, 0.2, 0.1)))
     check = blowup.blowup_check(
         patch, d, u, v, radii=radii, n_grid=cfg.integer("n_grid", 512),
         factor_opts={"seed": seed, "n_mc": _samples(cfg, samples)})

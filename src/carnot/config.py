@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConfigurationError, GradedGroup, group_from_dict
+from .algebra import (ConfigurationError, GradedGroup, checked_int, checked_reals,
+                      group_from_dict)
 from .blowup import LevelSetSpec, SurfacePatch
 from .metrics import (DistanceSpec, dinf, euclidean, from_profile,
                       hebisch_sikora, koranyi)
@@ -39,6 +40,8 @@ def compile_expression(src: str, variables):
     configuration error naming the offending token.
     """
     variables = tuple(variables)
+    if not isinstance(src, str):
+        raise ConfigurationError(f"expression must be a string, got {src!r}")
     try:
         tree = ast.parse(src, mode="eval")
     except SyntaxError as exc:
@@ -72,7 +75,12 @@ def compile_expression(src: str, variables):
             f"unsupported syntax {type(node).__name__!r} in expression {src!r}")
 
     # validate once against dummy scalars so errors surface at parse time
-    ev(tree, {v: 0.5 for v in variables})
+    try:
+        ev(tree, {v: 0.5 for v in variables})
+    except ConfigurationError:
+        raise
+    except (ArithmeticError, TypeError, ValueError) as exc:  # e.g. sqrt(t1, t2), max()
+        raise ConfigurationError(f"cannot evaluate {src!r}: {exc}") from exc
 
     def fn(**arrays):
         missing = set(variables) - set(arrays)
@@ -94,14 +102,6 @@ def _require_keys(d, allowed, required=(), where="config"):
         raise ConfigurationError(f"missing {where} keys: {sorted(missing)}")
 
 
-def checked_int(value, what, minimum):
-    """`value` as an int >= minimum; strings, bools and fractions are refused."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer()) or value < minimum):
-        raise ConfigurationError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 # family -> (constructor, name of its one parameter)
 _FAMILIES = {"dinf": (dinf, "c"), "koranyi": (koranyi, "gamma"),
              "hebisch_sikora": (hebisch_sikora, "eps")}
@@ -118,7 +118,7 @@ def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceS
         spec = {"family": spec}
     _require_keys(spec, {"family", "params"}, {"family"}, "distance")
     family = spec["family"]
-    params = dict(spec.get("params", {}))
+    params = spec.get("params", {})
     if isinstance(family, str) and family in _FAMILIES:
         build, param = _FAMILIES[family]
         _require_keys(params, {param}, where=f"{family} params")
@@ -149,10 +149,9 @@ def surface_from_dict(g: GradedGroup, spec):
     _require_keys(spec, {"kind", "expr", "domain"}, {"kind", "expr", "domain"},
                   "surface")
     domain = spec["domain"]
-    try:
-        (u0, u1), (v0, v1) = [(float(a), float(b)) for a, b in domain]
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed surface domain {domain!r}") from exc
+    if not isinstance(domain, list) or len(domain) != 2:
+        raise ConfigurationError(f"surface domain must be [[u0, u1], [v0, v1]], got {domain!r}")
+    (u0, u1), (v0, v1) = (checked_reals(side, "surface domain side", 2) for side in domain)
     if spec["kind"] == "param":
         _require_keys(spec["expr"], {"x", "y", "t"}, {"x", "y", "t"}, "surface expr")
         comps = [compile_expression(spec["expr"][k], ("u", "v")) for k in "xyt"]
@@ -213,6 +212,11 @@ class ExperimentConfig:
         """`key` as a checked integer; required when there is no default."""
         value = self.require(key) if default is None else self.raw.get(key, default)
         return checked_int(value, key, minimum)
+
+    def reals(self, key, default=None, length=None, positive=False):
+        """`key` as a tuple of checked finite numbers; required when there is no default."""
+        value = self.require(key) if default is None else self.raw.get(key, default)
+        return checked_reals(value, key, length, positive)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -30,6 +30,7 @@ MIN_MC_SAMPLES = 1000
 GL_NODES = 32
 MAX_QUAD_LAYER_DIM = 3
 MAX_QUAD_BATCH = 1 << 16
+NM_MAXITER = 120
 
 
 def unit_ball_volume(m: int) -> float:
@@ -229,8 +230,7 @@ def _project_to_unit_ball(d: DistanceSpec, z):
 
 
 def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
-                     n_mc: int = 100000, seed: int = 0,
-                     maxiter: int = 120) -> FactorReport:
+                     n_mc: int = 100000, seed: int = 0) -> FactorReport:
     """Maximize the slice volume over ball centers in the unit metric ball.
 
     When V contains every layer above the first, V is an ideal and every
@@ -246,8 +246,8 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
         raise ConfigurationError("spherical factor needs 1 <= dim V <= q - 1")
     W = _quadrature_complement(V)
     if W is not None:
-        return _quadrature_factor(d, V, W, seed, maxiter)
-    return _mc_factor(d, V, n_starts, n_mc, seed, maxiter)
+        return _quadrature_factor(d, V, W, seed)
+    return _mc_factor(d, V, n_starts, n_mc, seed)
 
 
 def _quadrature_complement(V: HomSubspace):
@@ -269,7 +269,7 @@ def _quadrature_complement(V: HomSubspace):
     return u[:, :m]
 
 
-def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed, maxiter):
+def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed):
     """Grid plus Nelder-Mead on nested quadrature over the ball |w| <= rho_1 in W.
 
     The error bar adds the n against 2n node gap at the argmax, the
@@ -307,7 +307,7 @@ def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed, maxiter):
     values = [volume(c) for c in grid]
     c_grid = grid[int(np.argmax(values))]
     res = minimize(lambda c: -volume(clip(c)), c_grid, method="Nelder-Mead",
-                   options=dict(maxiter=maxiter, xatol=1e-6 * rho1, fatol=1e-12,
+                   options=dict(maxiter=NM_MAXITER, xatol=1e-6 * rho1, fatol=1e-12,
                                 initial_simplex=np.vstack(
                                     [c_grid, c_grid + (rho1 / k) * np.eye(m)])))
 
@@ -330,7 +330,7 @@ def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed, maxiter):
                         method="nested_quadrature")
 
 
-def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed, maxiter):
+def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed):
     """Multi-start Nelder-Mead on a common-random-numbers Monte Carlo surface.
 
     Every evaluation uses one fixed seed, so each start runs on a frozen
@@ -360,7 +360,7 @@ def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed, maxiter):
     candidates = [g.zero()]
     for z0 in starts:
         res = minimize(objective, z0, method="Nelder-Mead",
-                       options=dict(maxiter=maxiter, xatol=1e-3, fatol=1e-9))
+                       options=dict(maxiter=NM_MAXITER, xatol=1e-3, fatol=1e-9))
         zc = _project_to_unit_ball(d, res.x)
         if all(np.abs(zc - c).max() > 5e-3 for c in candidates):
             candidates.append(zc)

@@ -12,13 +12,12 @@ construction time instead of being trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable
 
 import numpy as np
 
 from . import randomness
-from .algebra import ConfigurationError, GradedGroup
+from .algebra import ConfigurationError, GradedGroup, checked_real
 
 # Calibrated by dyadic search over the axiom sampler (largest passing value)
 # under the [e1,e2]=e3 bracket normalization of the presets.
@@ -28,6 +27,34 @@ HEBISCH_SIKORA_DEFAULT_EPS = 0.5
 
 NORM_RTOL = 1e-10
 RHO_ATOL = 1e-10
+
+
+def bisect(lower, lo, hi, done, max_iter, grow=0):
+    """Vectorized search for the threshold where the predicate `lower` fails.
+
+    `lower(x)` is a boolean array that holds below the threshold and fails
+    above it.  While `lower(hi)` holds somewhere, lo moves up to hi and hi
+    doubles there, at most `grow` times.  Then each bracket is halved, the
+    end on the same side of the threshold as the midpoint moving to it, for
+    at most `max_iter` halvings or until `done(lo, hi)`.  Returns the final
+    (lo, hi) and their midpoint.  A predicate that fails everywhere, as a
+    comparison with NaN does, ends the growth at once and closes the
+    bracket onto lo.
+    """
+    for _ in range(grow):
+        mask = lower(hi)
+        if not np.any(mask):
+            break
+        lo = np.where(mask, hi, lo)
+        hi = np.where(mask, hi * 2.0, hi)
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        below = lower(mid)
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+        if done(lo, hi):
+            break
+    return lo, hi, 0.5 * (lo + hi)
 
 
 @dataclass
@@ -61,14 +88,13 @@ class MultiradialProfile:
         # coercivity along random rays and the coordinate axes
         dirs = np.vstack([np.eye(iota), rng.uniform(0.05, 1.0, (32, iota))])
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        for u in dirs:
-            s, val = 1.0, self(u)
-            while val <= 2.0 and s < 2.0 ** 40:
-                s *= 2.0
-                val = self(s * u)
-            if not val > 2.0:
-                raise ConfigurationError(
-                    f"{self.name}: phi fails coercivity along direction {u.tolist()}")
+        _, s, _ = bisect(lambda s: self(s[:, None] * dirs) <= 2.0,
+                         np.zeros(len(dirs)), np.ones(len(dirs)), None, 0, grow=40)
+        weak = ~np.broadcast_to(self(s[:, None] * dirs) > 2.0, s.shape)
+        if np.any(weak):
+            u = dirs[int(np.argmax(weak))]
+            raise ConfigurationError(
+                f"{self.name}: phi fails coercivity along direction {u.tolist()}")
 
     # -- rho functions -----------------------------------------------------
 
@@ -91,33 +117,14 @@ class MultiradialProfile:
             raise ValueError(
                 f"argument {t[bad].tolist()} lies outside the domain T_{i}")
 
-        def f(s):
+        def below_one(s):
             full = head.copy()
             full[:, i - 1] = s
-            return self(full)
+            return self(full) < 1.0
 
-        out = _sup_below_one(f, np.zeros(t.shape[0]))
+        _, _, out = bisect(below_one, np.zeros(len(t)), np.ones(len(t)),
+                           lambda lo, hi: np.max(hi - lo) < RHO_ATOL, 80, grow=64)
         return float(out[0]) if scalar_in else out
-
-
-def _sup_below_one(f, s0):
-    """Vectorized sup{s >= 0 : f(s) < 1} by expanding bracket plus bisection."""
-    lo = np.zeros_like(s0, dtype=float)
-    hi = np.ones_like(lo)
-    for _ in range(64):
-        mask = f(hi) < 1.0
-        if not np.any(mask):
-            break
-        lo = np.where(mask, hi, lo)
-        hi = np.where(mask, hi * 2.0, hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        below = f(mid) < 1.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < RHO_ATOL:
-            break
-    return 0.5 * (lo + hi)
 
 
 @dataclass
@@ -149,14 +156,8 @@ class DistanceSpec:
             return self.profile(al / np.maximum(r, 1e-300)[:, None] ** weights) > 1.0
 
         # grow hi until the point is inside the ball of radius hi
-        lo = np.zeros(al.shape[0])
-        hi = np.ones(al.shape[0])
-        for _ in range(80):
-            mask = outside(hi)
-            if not np.any(mask):
-                break
-            lo = np.where(mask, hi, lo)
-            hi = np.where(mask, hi * 2.0, hi)
+        lo, hi, _ = bisect(outside, np.zeros(al.shape[0]), np.ones(al.shape[0]),
+                           None, 0, grow=80)
         # where the point was already inside the unit ball, shrink lo up from 0
         for _ in range(600):
             open_below = (lo == 0.0) & (hi > 1e-280)
@@ -166,14 +167,9 @@ class DistanceSpec:
             mask = open_below & ~outside(half)
             lo = np.where(open_below & ~mask, half, lo)
             hi = np.where(mask, half, hi)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            mask = outside(mid)
-            lo = np.where(mask, mid, lo)
-            hi = np.where(mask, hi, mid)
-            if np.max((hi - lo) / np.maximum(hi, 1e-300)) < NORM_RTOL:
-                break
-        out[live] = 0.5 * (lo + hi)
+        _, _, out[live] = bisect(
+            outside, lo, hi,
+            lambda lo, hi: np.max((hi - lo) / np.maximum(hi, 1e-300)) < NORM_RTOL, 120)
         return out
 
     def distance(self, x, y):
@@ -292,14 +288,6 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
 
 # -- built-in families -----------------------------------------------------
 
-def _family_parameter(family, name, value):
-    """A family constant as a float; anything but a finite number > 0 is refused."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
-        raise ConfigurationError(
-            f"{family}: {name} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
 def _build(g, name, evaluator, convex_ball, validate, hint):
     """Distance of a profile; with `validate`, the axiom sampler must pass."""
     prof = MultiradialProfile(group=g, evaluator=evaluator, name=name)
@@ -317,7 +305,7 @@ def dinf(g: GradedGroup, c: float = DINF_DEFAULT_C, validate: bool = True) -> Di
     """max(t1, c*sqrt(t2)) profile on step-2 groups."""
     if g.step != 2:
         raise ConfigurationError("dinf is defined on step-2 groups")
-    c = _family_parameter("dinf", "c", c)
+    c = checked_real(c, "dinf: c", positive=True)
     return _build(g, f"dinf({c:g})",
                   lambda t: np.maximum(t[..., 0], c * np.sqrt(t[..., 1])),
                   False, validate, "decrease c")
@@ -328,7 +316,7 @@ def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
     """Cygan-Koranyi gauge (t1^4 + gamma*t2^2)^(1/4) on heisenberg1-like groups."""
     if g.step != 2:
         raise ConfigurationError("koranyi is defined on step-2 groups")
-    gamma = _family_parameter("koranyi", "gamma", gamma)
+    gamma = checked_real(gamma, "koranyi: gamma", positive=True)
     return _build(g, f"koranyi({gamma:g})",
                   lambda t: (t[..., 0] ** 4 + gamma * t[..., 1] ** 2) ** 0.25,
                   False, validate, "adjust gamma to the bracket normalization")
@@ -337,7 +325,7 @@ def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
 def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
                    validate: bool = True) -> DistanceSpec:
     """Distance whose unit ball is the Euclidean ball of radius eps (convex)."""
-    eps = _family_parameter("hebisch_sikora", "eps", eps)
+    eps = checked_real(eps, "hebisch_sikora: eps", positive=True)
     return _build(g, f"hebisch_sikora({eps:g})",
                   lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps,
                   True, validate, "decrease eps")

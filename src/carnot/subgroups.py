@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import ConfigurationError, GradedGroup
+from .algebra import ConfigurationError, GradedGroup, checked_reals
 
 ATOL = 1e-12
 
@@ -147,8 +147,6 @@ class ComplementaryPair:
 
     W: HomSubspace
     V: HomSubspace
-    w_is_normal: bool = field(init=False)
-    v_is_subgroup: bool = field(init=False)
 
     def __post_init__(self):
         g = self.W.group
@@ -160,11 +158,9 @@ class ComplementaryPair:
         M = np.hstack([self.V.ambient_basis, self.W.ambient_basis])
         if np.linalg.matrix_rank(M, tol=1e-10) != g.q:
             raise ConfigurationError("V and W intersect nontrivially")
-        self.v_is_subgroup = is_subgroup(self.V)
-        self.w_is_normal = is_subgroup(self.W) and is_normal(self.W)
-        if not self.v_is_subgroup:
+        if not is_subgroup(self.V):
             raise ConfigurationError("V is not closed under the bracket")
-        if not self.w_is_normal:
+        if not (is_subgroup(self.W) and is_normal(self.W)):
             raise ConfigurationError("W is not a normal subgroup")
 
 
@@ -232,8 +228,12 @@ SUBSPACE_PRESETS = {
 
 
 def subspace_from_dict(g: GradedGroup, spec) -> HomSubspace:
+    """Subspace from a preset name or a list of spanning vectors of length q."""
     if isinstance(spec, str):
         if spec not in SUBSPACE_PRESETS:
             raise ConfigurationError(f"unknown subspace preset {spec!r}")
         return subspace_from_vectors(g, SUBSPACE_PRESETS[spec])
-    return subspace_from_vectors(g, spec)
+    if not isinstance(spec, list):
+        raise ConfigurationError(
+            f"subspace must be a preset name or a list of vectors, got {spec!r}")
+    return subspace_from_vectors(g, [checked_reals(v, "subspace vector", g.q) for v in spec])

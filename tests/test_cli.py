@@ -237,6 +237,51 @@ class TestConfigFaults:
         assert "nan" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("command, payload, cause", [
+        ("blowup", {"point": 5}, "point"),
+        ("blowup", {"radii": 5}, "radii"),
+        ("blowup", {"point": [0.1]}, "point"),
+        ("blowup", {"point": ["a", 1]}, "point"),
+        ("blowup", {"radii": []}, "radii"),
+        ("blowup", {"radii": [-1]}, "radii"),
+        ("blowup", {"radii": ["x"]}, "radii"),
+        ("blowup", {"point": [float("nan"), 0]}, "point"),
+        ("blowup", {"radii": [0.2, float("inf")]}, "radii"),
+        ("check-distance", {"distance": {"family": "dinf", "params": 5}}, "params"),
+        ("check-distance", {"distance": {"family": "dinf", "params": "ab"}}, "params"),
+        ("check-distance", {"distance": {"family": "profile", "params": {"expr": 5}}},
+         "expression"),
+        ("check-distance", {"distance": {"family": "profile",
+                                         "params": {"expr": "sqrt(t1, t2)"}}},
+         "sqrt(t1, t2)"),
+        ("check-distance", {"distance": {"family": "profile", "params": {"expr": "max()"}}},
+         "max()"),
+        ("beta", {"subspace": 5}, "subspace"),
+        ("beta", {"subspace": [[1, 0]]}, "subspace"),
+        ("sweep", {"signature": 5, "k": 1}, "signature"),
+        ("check-group", {"group": {"step": 2, "layer_dims": [2, 1],
+                                   "bracket": [[3.5, 1, 2, 1]]}}, "bracket entry"),
+        ("check-group", {"group": {"step": 2, "layer_dims": [2, 1],
+                                   "bracket": [[3, 1, 2, float("inf")]]}}, "bracket entry"),
+    ], ids=["point-int", "radii-int", "point-short", "point-string", "radii-empty",
+            "radii-negative", "radii-string", "point-nan", "radii-infinity",
+            "params-int", "params-string", "expr-int", "expr-sqrt-two-args",
+            "expr-max-no-args", "subspace-int", "subspace-short", "signature-int",
+            "bracket-fractional-index", "bracket-infinite-value"])
+    def test_malformed_field_is_config_error(self, tmp_path, capsys, command, payload,
+                                             cause):
+        base = {"group": "heisenberg1", "distance": {"family": "dinf"},
+                "surface": PARABOLOID, "point": [0, 0], "n_grid": 16,
+                "subspace": "vertical_plane_x0", "samples": 1000}
+        keys = {"blowup": ("group", "distance", "surface", "point", "n_grid"),
+                "check-distance": ("group", "distance", "samples"),
+                "beta": ("group", "distance", "subspace", "samples"),
+                "sweep": ("group", "distance", "samples"),
+                "check-group": ()}[command]
+        cfg = write_cfg(tmp_path, "c.json", {**{k: base[k] for k in keys}, **payload})
+        assert run([command, "--config", cfg]) == 3
+        assert cause in capsys.readouterr().err
+
     def test_huge_group_refused_before_allocation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "g.json", {"group": "abelian:100000"})
         t0 = time.perf_counter()

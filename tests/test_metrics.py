@@ -2,13 +2,38 @@ import numpy as np
 import pytest
 
 from carnot.algebra import ConfigurationError, preset_group
-from carnot.metrics import (MultiradialProfile, check_axioms, dinf, euclidean,
-                            from_profile, hebisch_sikora, koranyi)
+from carnot.metrics import (MultiradialProfile, bisect, check_axioms, dinf,
+                            euclidean, from_profile, hebisch_sikora, koranyi)
 
 
 @pytest.fixture(scope="module")
 def g():
     return preset_group("heisenberg1")
+
+
+class TestBisect:
+    def test_contract(self):
+        # thresholds sqrt(2) and sqrt(50): the second needs three doublings
+        lower = lambda x: x * x < np.array([2.0, 50.0])
+        lo, hi, mid = bisect(lower, np.zeros(2), np.ones(2),
+                             lambda lo, hi: np.max(hi - lo) < 1e-12, 200, grow=10)
+        assert np.all(lower(lo)) and not np.any(lower(hi))
+        np.testing.assert_allclose(mid, np.sqrt([2.0, 50.0]), rtol=1e-12)
+        # the grow cap: three doublings stop short of a threshold at 100
+        lo, hi, _ = bisect(lambda x: x < 100.0, np.zeros(1), np.ones(1), None, 0, grow=3)
+        assert (lo[0], hi[0]) == (4.0, 8.0)
+        # a predicate on NaN values fails everywhere: no doubling, and the
+        # halving closes onto lo until the stop test holds
+        calls = []
+
+        def nan_lower(x):
+            calls.append(x)
+            return np.full(np.shape(x), np.nan) < 1.0
+
+        lo, hi, _ = bisect(nan_lower, np.zeros(3), np.ones(3),
+                           lambda lo, hi: np.max(hi - lo) < 1e-3, 500, grow=500)
+        assert np.all(lo == 0.0) and np.all(hi == 2.0 ** -10)
+        assert len(calls) == 1 + 10
 
 
 class TestProfiles:

@@ -2,9 +2,12 @@
 
 A group element is a plain float vector in exponential coordinates of the
 first kind, adapted to a layer-orthogonal basis.  The group product is the
-BCH series truncated at the nilpotency step, evaluated through a
-precomputed table of Dynkin words, so it is exact (up to rounding) for any
-group of step <= MAX_STEP.
+BCH series truncated at the nilpotency step, a sum of right-nested Dynkin
+words with exact rational coefficients, so it is exact (up to rounding) for
+any group of step <= MAX_STEP.  Each distinct word suffix is evaluated
+once and shared by every word ending in it (30 brackets instead of 80 at
+step 5), on points held as (q, n) columns so that each sparse bracket term
+reads and writes contiguous rows, in blocks of CHUNK_COLUMNS points.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from numbers import Real
 import numpy as np
 
 MAX_STEP = 6
-# validate_grading holds q^4 floats per Jacobi term: 134 MB at q = 64
+# the structure constants are held as a dense (q, q, q) tensor
 MAX_DIMENSION = 64
+# points per block of the product kernel: a step-5 product keeps 30 suffix
+# values of q * CHUNK_COLUMNS floats alive
+CHUNK_COLUMNS = 2048
 ATOL = 1e-12
 
 
@@ -95,8 +101,11 @@ def _layer_of_index(layer_dims):
 def validate_grading(sc: StructureConstants) -> GradingReport:
     """Check antisymmetry, grading compatibility and the Jacobi identity.
 
-    The Jacobi identity is verified by exhaustive enumeration of basis
-    triples; everything is compared at absolute tolerance 1e-12.
+    The Jacobi identity is verified on every basis triple, one output
+    coordinate at a time over the nonzero columns of its bracket matrix, so
+    at most q^3 floats are held at once; everything is compared at absolute
+    tolerance 1e-12.  Violations are listed in index order, at most 10 per
+    antisymmetry and Jacobi.
     """
     c = sc.bracket
     q = sc.q
@@ -108,26 +117,30 @@ def validate_grading(sc: StructureConstants) -> GradingReport:
     for k, i, j in bad[:10]:
         violations.append(f"antisymmetry: c[{k}][{i}][{j}] != -c[{k}][{j}][{i}]")
 
-    for i in range(q):
-        for j in range(q):
-            target = layer[i] + layer[j]
-            for k in np.nonzero(np.abs(c[:, i, j]) > ATOL)[0]:
-                if target > sc.step:
-                    violations.append(
-                        f"grading: [e{i + 1},e{j + 1}] must vanish (layers sum to {target})")
-                elif layer[k] != target:
-                    violations.append(
-                        f"grading: [e{i + 1},e{j + 1}] hits e{k + 1} in layer {layer[k]}, "
-                        f"expected layer {target}")
+    for i, j, k in np.argwhere(np.abs(c.transpose(1, 2, 0)) > ATOL):
+        target = layer[i] + layer[j]
+        if target > sc.step:
+            violations.append(
+                f"grading: [e{i + 1},e{j + 1}] must vanish (layers sum to {target})")
+        elif layer[k] != target:
+            violations.append(
+                f"grading: [e{i + 1},e{j + 1}] hits e{k + 1} in layer {layer[k]}, "
+                f"expected layer {target}")
 
-    # Jacobi: [ei,[ej,ek]] + [ej,[ek,ei]] + [ek,[ei,ej]] = 0
-    jac = (np.einsum("ajk,bia->bijk", c, c)
-           + np.einsum("aki,bja->bijk", c, c)
-           + np.einsum("aij,bka->bijk", c, c))
-    bad = np.argwhere(np.abs(jac) > ATOL)
-    for b, i, j, k in bad[:10]:
-        violations.append(
-            f"jacobi: cyclic sum on (e{i + 1},e{j + 1},e{k + 1}) has residue on e{b + 1}")
+    # Jacobi: [ei,[ej,ek]] + [ej,[ek,ei]] + [ek,[ei,ej]] = 0.  On e_b, with
+    # t[i, j, k] the e_b-coefficient of [ei,[ej,ek]], the sum is
+    # t[i, j, k] + t[j, k, i] + t[k, i, j]; t vanishes where c[b] does.
+    flat = c.reshape(q, q * q)
+    jacobi = []
+    for b in np.nonzero(flat.any(axis=1))[0]:
+        cols = np.nonzero(c[b].any(axis=0))[0]
+        t = (c[b][:, cols] @ flat[cols]).reshape(q, q, q)
+        jac = t + t.transpose(2, 0, 1) + t.transpose(1, 2, 0)
+        jacobi += [f"jacobi: cyclic sum on (e{i + 1},e{j + 1},e{k + 1}) has residue on e{b + 1}"
+                   for i, j, k in np.argwhere(np.abs(jac) > ATOL)[:10 - len(jacobi)]]
+        if len(jacobi) == 10:
+            break
+    violations += jacobi
 
     return GradingReport(ok=not violations, violations=violations)
 
@@ -170,6 +183,26 @@ def _dynkin_words(step):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _suffix_plan(step):
+    """Shared-suffix evaluation order of the Dynkin words through `step`.
+
+    Values are numbered 0 (x), 1 (y), then one per distinct suffix of two or
+    more letters.  Returns (brackets, terms): brackets[m] = (a, b) makes
+    value m + 2 the bracket [value a, value b], every b numbered before it;
+    terms lists (value, coefficient) in `_dynkin_words` order.
+    """
+    words = _dynkin_words(step)
+    suffixes = sorted({w[-k:] for w, _ in words for k in range(2, len(w) + 1)},
+                      key=lambda s: (len(s), s))
+    slot = {"x": 0, "y": 1}
+    brackets = []
+    for s in suffixes:
+        brackets.append((slot[s[0]], slot[s[1:]]))
+        slot[s] = len(slot)
+    return tuple(brackets), tuple((slot[w], c) for w, c in words)
+
+
 class GradedGroup:
     """A graded nilpotent Lie group in exponential coordinates."""
 
@@ -191,9 +224,9 @@ class GradedGroup:
         self.layer_ends = bounds[1:].astype(np.int64)
 
         ks, iis, jjs = np.nonzero(np.abs(sc.bracket) > ATOL)
-        self._sparse = (ks.astype(np.int64), iis.astype(np.int64), jjs.astype(np.int64),
-                        sc.bracket[ks, iis, jjs].astype(np.float64))
-        self._words = _dynkin_words(self.step)
+        self._sparse = tuple(zip(ks.tolist(), iis.tolist(), jjs.tolist(),
+                                 sc.bracket[ks, iis, jjs].tolist()))
+        self._plan = _suffix_plan(self.step)
         self._weights = np.repeat(np.arange(1, self.step + 1), self.layer_dims).astype(float)
 
     # -- elements ----------------------------------------------------------
@@ -215,33 +248,47 @@ class GradedGroup:
 
     # -- algebra operations ------------------------------------------------
 
-    def _bracket_rows(self, a, b):
-        """Rowwise Lie bracket of two (n, q) batches over the sparse tensor."""
-        out = np.zeros_like(a)
-        for k, i, j, c in zip(*self._sparse):
-            out[:, k] += c * a[:, i] * b[:, j]
-        return out
-
-    def bracket(self, a, b):
+    def _columns(self, kernel, a, b):
+        """`kernel` over (q, m) column blocks of two broadcast batches; (n, q) result."""
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.atleast_2d(np.asarray(b, dtype=float))
         a, b = np.broadcast_arrays(a, b)
-        out = self._bracket_rows(np.ascontiguousarray(a), np.ascontiguousarray(b))
+        out = np.empty(a.shape)
+        for lo in range(0, a.shape[0], CHUNK_COLUMNS):
+            hi = lo + CHUNK_COLUMNS
+            out[lo:hi] = kernel(a[lo:hi].T.copy(), b[lo:hi].T.copy()).T
+        return out
+
+    def _bracket_columns(self, a, b):
+        """Lie bracket of two (q, m) column blocks over the sparse tensor."""
+        out = np.zeros(a.shape)
+        term = np.empty(a.shape[1])
+        for k, i, j, c in self._sparse:
+            np.multiply(c, a[i], out=term)
+            term *= b[j]
+            out[k] += term
+        return out
+
+    def _bch_columns(self, x, y):
+        """Truncated BCH series of two (q, m) column blocks, suffixes shared."""
+        brackets, terms = self._plan
+        values = [x, y]
+        for a, b in brackets:
+            values.append(self._bracket_columns(values[a], values[b]))
+        out = np.zeros_like(x)
+        term = np.empty_like(x)
+        for v, c in terms:
+            np.multiply(c, values[v], out=term)
+            out += term
+        return out
+
+    def bracket(self, a, b):
+        out = self._columns(self._bracket_columns, a, b)
         return out[0] if out.shape[0] == 1 else out
 
     def multiply(self, p, q):
         """Group product by the truncated BCH series; accepts (q,) or (n, q)."""
-        p2 = np.atleast_2d(np.asarray(p, dtype=float))
-        q2 = np.atleast_2d(np.asarray(q, dtype=float))
-        p2, q2 = np.broadcast_arrays(p2, q2)
-        p2 = np.ascontiguousarray(p2)
-        q2 = np.ascontiguousarray(q2)
-        out = np.zeros_like(p2)
-        for word, c in self._words:
-            v = p2 if word[-1] == "x" else q2
-            for letter in word[-2::-1]:
-                v = self._bracket_rows(p2 if letter == "x" else q2, v)
-            out += c * v
+        out = self._columns(self._bch_columns, p, q)
         scalar = (np.asarray(p).ndim == 1 and np.asarray(q).ndim == 1)
         return out[0] if scalar else out
 

@@ -10,6 +10,7 @@ seed: '.' decimal separator, 17 significant digits, LF line endings.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -80,6 +81,18 @@ def write_csv(path, report: RunReport):
         fh.write(",".join(report.columns) + "\n")
         for row in report.rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
+
+
+def _out_path(args, cfg: ExperimentConfig):
+    """The CSV path of --out, else of the config's `out`; None when neither is set."""
+    out = args.out if args.out is not None else cfg.get("out")
+    if out is None:
+        return None
+    if (not isinstance(out, str) or not out or os.path.isdir(out)
+            or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ConfigurationError(
+            f"out must be a file path in an existing directory, got {out!r}")
+    return out
 
 
 # -- subcommands -------------------------------------------------------------
@@ -246,6 +259,7 @@ def main(argv=None):
     t0 = time.time()
     try:
         cfg = load_config(args.config)
+        out = _out_path(args, cfg)
         seed = (checked_int(args.seed, "--seed", 0) if args.seed is not None
                 else cfg.integer("seed", 0, minimum=0))
         if args.samples is not None:
@@ -259,9 +273,12 @@ def main(argv=None):
         return EXIT_INVARIANT
     report.wall_time = time.time() - t0
     print(report.as_text())
-    out = args.out or cfg.get("out")
     if out:
-        write_csv(out, report)
+        try:
+            write_csv(out, report)
+        except OSError as exc:
+            print(f"configuration error: cannot write out {out!r}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         if args.verbose:
             print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_INVARIANT

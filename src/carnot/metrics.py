@@ -201,7 +201,7 @@ class AxiomCheck:
 
     @property
     def ok(self):
-        return self.worst <= self.tol
+        return bool(np.isfinite(self.worst) and self.worst <= self.tol)
 
 
 @dataclass(frozen=True)
@@ -228,6 +228,12 @@ def _canonical_probe_triples(g: GradedGroup):
     return pairs
 
 
+def _worst_index(values):
+    """Index of the first non-finite entry, else of the largest."""
+    bad = ~np.isfinite(values)
+    return int(np.argmax(bad if bad.any() else values))
+
+
 def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000,
                  seed: int = 0) -> AxiomReport:
     """Randomized check of the homogeneous-distance axioms on the unit box.
@@ -244,8 +250,11 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
     checks = {}
 
     def update(name, worst, witness):
+        # a non-finite value wins and is never replaced
         cur = checks.get(name)
-        if cur is None or worst > cur[0]:
+        if cur is not None and not np.isfinite(cur[0]):
+            return
+        if cur is None or not np.isfinite(worst) or worst > cur[0]:
             checks[name] = (worst, witness)
 
     # deterministic probes: ||x*y|| <= ||x|| + ||y|| via the triple (0, x, x*y)
@@ -266,18 +275,18 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
         dyz = d.distance(Y, Z)
         dxz = d.distance(X, Z)
         viol = dxz - dxy - dyz
-        i = int(np.argmax(viol))
+        i = _worst_index(viol)
         update("triangle", float(viol[i]), (X[i].tolist(), Y[i].tolist(), Z[i].tolist()))
 
         dyx = d.distance(Y, X)
         sym = np.abs(dxy - dyx)
-        i = int(np.argmax(sym))
+        i = _worst_index(sym)
         update("symmetry", float(sym[i]), (X[i].tolist(), Y[i].tolist()))
 
         Xr = np.stack([g.dilate(ri, xi) for ri, xi in zip(r[:64], X[:64])])
         Yr = np.stack([g.dilate(ri, yi) for ri, yi in zip(r[:64], Y[:64])])
         hom = np.abs(d.distance(Xr, Yr) - r[:64] * dxy[:64])
-        i = int(np.argmax(hom))
+        i = _worst_index(hom)
         update("homogeneity", float(hom[i]), (X[i].tolist(), Y[i].tolist(), float(r[i])))
         done += n
 

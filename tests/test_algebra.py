@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from carnot.algebra import (ConfigurationError, GradedGroup, _dynkin_words,
-                            group_from_dict, group_law_checks, preset_group,
-                            structure_constants_from_sparse, validate_grading)
+from carnot.algebra import (ATOL, ConfigurationError, GradedGroup, _dynkin_words,
+                            _suffix_plan, group_from_dict, group_law_checks,
+                            preset_group, structure_constants_from_sparse,
+                            validate_grading)
 
 
 def heis():
@@ -26,6 +29,74 @@ class TestDynkinWords:
     def test_word_count_is_stable(self):
         assert len(_dynkin_words(2)) == 4
         assert len(_dynkin_words(6)) == 40
+
+
+def reference_product(g, p, q):
+    """Word-by-word BCH: every Dynkin word rebuilds its whole bracket chain."""
+    p, q = np.broadcast_arrays(np.atleast_2d(p), np.atleast_2d(q))
+    terms = [(k, i, j, g.sc.bracket[k, i, j])
+             for k, i, j in zip(*np.nonzero(np.abs(g.sc.bracket) > ATOL))]
+    out = np.zeros(p.shape)
+    for word, c in _dynkin_words(g.step):
+        v = p if word[-1] == "x" else q
+        for letter in word[-2::-1]:
+            a, b, v = (p if letter == "x" else q), v, np.zeros(p.shape)
+            for k, i, j, ck in terms:
+                v[:, k] += ck * a[:, i] * b[:, j]
+        out += c * v
+    return out
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 5, 6], ids=lambda s: f"step{s}")
+def stepped(request):
+    """Filiform group [e1, e_k] = c_k e_{k+1}, k = 2..step.
+
+    Constants other than 1 make a change of operand order show in the bits.
+    """
+    step = request.param
+    return GradedGroup(structure_constants_from_sparse(
+        step, (2,) + (1,) * (step - 1),
+        [[k + 1, 1, k, c] for k, c in zip(range(2, step + 1), (0.7, -1.3, 2.1, 0.3, 1.7))]))
+
+
+class TestSharedSuffixProduct:
+    """The product must equal word-by-word evaluation to the last bit."""
+
+    def test_plan_sizes(self):
+        assert [len(_suffix_plan(s)[0]) for s in range(2, 7)] == [2, 6, 8, 30, 44]
+
+    @staticmethod
+    def assert_identical(g, p, q):
+        out = g.multiply(p, q)
+        ref = reference_product(g, p, q)
+        if np.ndim(p) == 1 and np.ndim(q) == 1:
+            ref = ref[0]
+        assert out.shape == ref.shape and out.flags.c_contiguous
+        assert out.tobytes() == ref.tobytes()
+
+    def test_random_batches_across_blocks(self, stepped):
+        rng = np.random.default_rng(21)
+        for n in (1, 5, 3000):
+            p, q = rng.standard_normal((2, n, stepped.q))
+            self.assert_identical(stepped, p, q)
+
+    def test_signed_zeros(self, stepped):
+        rng = np.random.default_rng(22)
+        p, q = rng.choice([0.0, -0.0, 1.0, -0.5], size=(2, 400, stepped.q))
+        self.assert_identical(stepped, p, q)
+        self.assert_identical(stepped, -np.zeros(stepped.q), -np.zeros(stepped.q))
+
+    def test_single_points(self, stepped):
+        rng = np.random.default_rng(23)
+        p, q = rng.uniform(-2, 2, size=(2, stepped.q))
+        self.assert_identical(stepped, p, q)
+        self.assert_identical(stepped, p[None, :], q)
+
+    def test_broadcast_left_factor(self, stepped):
+        # ball_contains and the spherical factor translate a batch by one center
+        rng = np.random.default_rng(24)
+        center = rng.uniform(-1, 1, size=(1, stepped.q))
+        self.assert_identical(stepped, center, rng.uniform(-1, 1, size=(2500, stepped.q)))
 
 
 class TestHeisenbergLaw:
@@ -93,6 +164,33 @@ class TestValidation:
         report = validate_grading(sc)
         assert not report.ok
         assert any("jacobi" in v for v in report.violations)
+
+    def test_jacobi_violations_listed_in_index_order(self):
+        # free step-2 on e1, e2, e3 with three layer-3 brackets that break Jacobi
+        # on (e1, e2, e3) along e7, e8 and e9; the list stops at 10
+        sc = structure_constants_from_sparse(3, (3, 3, 3), [
+            [4, 1, 2, 1.0], [5, 2, 3, 1.0], [6, 1, 3, 1.0],
+            [7, 1, 5, 1.0], [8, 2, 6, 1.0], [9, 3, 4, 1.0]])
+        triples = ["e1,e2,e3", "e1,e3,e2", "e2,e1,e3", "e2,e3,e1", "e3,e1,e2", "e3,e2,e1"]
+        expected = [f"jacobi: cyclic sum on ({t}) has residue on e{b}"
+                    for b in (7, 8) for t in triples][:10]
+        assert validate_grading(sc).violations == expected
+
+    def test_dimension_64_validates_in_little_memory(self):
+        # 16 commuting copies of engel: [a, b] = c, [a, c] = d in each
+        entries = []
+        for m in range(16):
+            a, b, c, d = 2 * m + 1, 2 * m + 2, 33 + m, 49 + m
+            entries += [[c, a, b, 1.0], [d, a, c, 1.0]]
+        sc = structure_constants_from_sparse(3, (32, 16, 16), entries)
+        tracemalloc.start()
+        try:
+            report = validate_grading(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.violations
+        assert peak < 20e6  # one dense q^4 Jacobi term alone is 134 MB
 
     def test_grading_violation_detected(self):
         sc = structure_constants_from_sparse(2, (2, 1), [[1, 1, 2, 1.0]])

@@ -282,6 +282,28 @@ class TestConfigFaults:
         assert run([command, "--config", cfg]) == 3
         assert cause in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, extra", [
+        ({"out": 7}, []),
+        ({"out": True}, []),
+        ({"out": "/nonexistent/x.csv"}, []),
+        ({}, ["--out", "/nonexistent/x.csv"]),
+    ], ids=["out-int", "out-bool", "out-missing-dir", "cli-out-missing-dir"])
+    def test_bad_out_refused_before_the_run(self, tmp_path, capsys, payload, extra):
+        cfg = write_cfg(tmp_path, "g.json", {"group": "engel", **payload})
+        assert run(["check-group", "--config", cfg, *extra]) == 3
+        captured = capsys.readouterr()
+        assert "out must be" in captured.err
+        assert captured.out == ""
+
+    def test_failed_write_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(path, report):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+        cfg = write_cfg(tmp_path, "g.json", {"group": "engel"})
+        assert run(["check-group", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 3
+        assert "cannot write out" in capsys.readouterr().err
+
     def test_huge_group_refused_before_allocation(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "g.json", {"group": "abelian:100000"})
         t0 = time.perf_counter()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carnot.algebra import ConfigurationError, preset_group
+from carnot.algebra import ConfigurationError, group_from_dict, preset_group
 from carnot.metrics import (MultiradialProfile, bisect, check_axioms, dinf,
                             euclidean, from_profile, hebisch_sikora, koranyi)
 
@@ -94,6 +94,20 @@ class TestNorms:
         lhs = d.distance(g.multiply(a, x), g.multiply(a, y))
         assert lhs == pytest.approx(d.distance(x, y), rel=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        "engel",
+        # the filiform group of perfbench/configs/check_distance_filiform_hs.json
+        {"step": 5, "layer_dims": [2, 1, 1, 1, 1],
+         "bracket": [[3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]},
+    ], ids=["engel", "filiform5"])
+    def test_batched_left_invariance(self, spec):
+        h = group_from_dict(spec)
+        d = hebisch_sikora(h, validate=False)
+        rng = np.random.default_rng(7)
+        p, x, y = rng.uniform(-1, 1, size=(3, 500, h.q))
+        lhs = d.distance(h.multiply(p, x), h.multiply(p, y))
+        np.testing.assert_allclose(lhs, d.distance(x, y), rtol=1e-9)
+
     def test_hebisch_sikora_ball_is_euclidean(self, g):
         d = hebisch_sikora(g)
         eps = 0.5
@@ -148,6 +162,24 @@ class TestAxiomSampler:
         d = from_profile(g, lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1])),
                          name="gauge")
         assert d.norm(np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0, rel=1e-9)
+
+    def test_nan_in_a_random_block_fails_the_check(self, g):
+        d = from_profile(g, lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / 0.5,
+                         name="hs", validate=False)
+        finite = d.norm
+
+        def norm(x):
+            # the probes, basis vectors and their products, have x1 in {0, +-1, +-2}
+            x = np.asarray(x, dtype=float)
+            out = np.where((0.25 < x[..., 0]) & (x[..., 0] < 0.75), np.nan, finite(x))
+            return float(out) if x.ndim == 1 else out
+
+        d.norm = norm
+        report = check_axioms(d, g, n_samples=2000, seed=0)
+        checks = {c.name: c for c in report.checks}
+        assert np.isnan(checks["triangle"].worst)
+        assert not checks["triangle"].ok and not checks["symmetry"].ok
+        assert not report.ok
 
     def test_determinism(self, g):
         d = koranyi(g)

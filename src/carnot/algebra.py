@@ -105,11 +105,17 @@ def validate_grading(sc: StructureConstants) -> GradingReport:
     coordinate at a time over the nonzero columns of its bracket matrix, so
     at most q^3 floats are held at once; everything is compared at absolute
     tolerance 1e-12.  Violations are listed in index order, at most 10 per
-    antisymmetry and Jacobi.
+    antisymmetry and Jacobi.  A tensor with a NaN or infinite entry, which
+    every one of those comparisons would pass, is refused with its first 10
+    non-finite entries alone.
     """
     c = sc.bracket
     q = sc.q
     layer = _layer_of_index(sc.layer_dims)
+    nonfinite = np.argwhere(~np.isfinite(c))
+    if len(nonfinite):
+        return GradingReport(ok=False, violations=[
+            f"non-finite: c[{k}][{i}][{j}] = {c[k, i, j]}" for k, i, j in nonfinite[:10]])
     violations = []
 
     anti = c + np.swapaxes(c, 1, 2)

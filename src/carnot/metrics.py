@@ -3,8 +3,11 @@
 A multiradial distance is described by a profile phi acting on the layer
 norms (|x_1|, ..., |x_iota|): the unit ball is {phi <= 1} and the norm of a
 point is the unique dilation parameter r with
-phi(|x_1|/r, ..., |x_iota|/r^iota) = 1, found by bracketing bisection.  No
-closed form for the norm is ever assumed.  Distance constants of the
+phi(|x_1|/r, ..., |x_iota|/r^iota) = 1.  The search starts at phi(|x_1|, ...,
+|x_iota|), the norm itself for profiles with phi(t_1/r, ..., t_iota/r^iota) =
+phi(t)/r such as dinf and koranyi, and takes safeguarded log-log Newton
+steps.  No closed form is assumed: every norm is certified by a bracket of
+relative width below NORM_RTOL, else it is NaN.  Distance constants of the
 built-in families are validated by a randomized axiom sampler at
 construction time instead of being trusted.
 """
@@ -17,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import randomness
-from .algebra import ConfigurationError, GradedGroup, checked_real
+from .algebra import CHUNK_COLUMNS, ConfigurationError, GradedGroup, checked_real
 
 # Calibrated by dyadic search over the axiom sampler (largest passing value)
 # under the [e1,e2]=e3 bracket normalization of the presets.
@@ -26,6 +29,9 @@ KORANYI_DEFAULT_GAMMA = 16.0
 HEBISCH_SIKORA_DEFAULT_EPS = 0.5
 
 NORM_RTOL = 1e-10
+# profile rounds per block of the certified norm: dinf and koranyi need one,
+# hebisch_sikora about 6, a profile with no usable slope about 40
+NORM_MAX_ROUNDS = 200
 RHO_ATOL = 1e-10
 
 
@@ -139,37 +145,57 @@ class DistanceSpec:
     # -- evaluation --------------------------------------------------------
 
     def norm(self, x):
-        out = self._norm_multiradial(np.atleast_2d(np.asarray(x, dtype=float)))
+        a = np.atleast_2d(self.group.layer_norms(np.asarray(x, dtype=float)))  # (n, iota)
+        out = np.empty(a.shape[0])
+        for s in range(0, a.shape[0], CHUNK_COLUMNS):
+            out[s:s + CHUNK_COLUMNS] = self._norm_multiradial(a[s:s + CHUNK_COLUMNS])
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
-    def _norm_multiradial(self, x2):
-        g = self.group
-        a = np.atleast_2d(g.layer_norms(x2))  # (n, iota)
-        weights = np.arange(1, g.step + 1, dtype=float)
-        out = np.zeros(a.shape[0])
-        live = np.any(a > 0.0, axis=1)
-        if not np.any(live):
-            return out
-        al = a[live]
+    def _norm_multiradial(self, a):
+        """Norms of the points with layer norms `a`, each certified to NORM_RTOL.
 
-        def outside(r):
-            return self.profile(al / np.maximum(r, 1e-300)[:, None] ** weights) > 1.0
-
-        # grow hi until the point is inside the ball of radius hi
-        lo, hi, _ = bisect(outside, np.zeros(al.shape[0]), np.ones(al.shape[0]),
-                           None, 0, grow=80)
-        # where the point was already inside the unit ball, shrink lo up from 0
-        for _ in range(600):
-            open_below = (lo == 0.0) & (hi > 1e-280)
-            if not np.any(open_below):
+        Each round evaluates phi at r(1 - delta) and r(1 + delta), delta =
+        NORM_RTOL / 2, for the points still open.  A point outside the ball
+        at the first and not at the second is certified and gets the secant
+        root of log phi against log r through that pair, clamped into it.
+        Otherwise both evaluations narrow its bracket [lo, hi], and the next
+        r is that secant root when it lies inside the bracket, else 2 lo,
+        hi / 2 or sqrt(lo hi); hi - lo <= NORM_RTOL hi also certifies.  The
+        first r is phi(a), the norm itself when phi(a / r^w) = phi(a) / r
+        (dinf, koranyi).  A non-finite coordinate or phi value, or a point
+        still open after NORM_MAX_ROUNDS, gives NaN.  The powers r^j must
+        stay normal floats: below a norm of about 1e-308^(1/iota) (1e-62 at
+        step 5) the result is NaN or unresolved.
+        """
+        weights = np.arange(1, a.shape[1] + 1, dtype=float)
+        finite, nonzero = np.isfinite(a).all(axis=1), (a > 0.0).any(axis=1)
+        out = np.where(finite & ~nonzero, 0.0, np.nan)
+        idx = np.flatnonzero(finite & nonzero)
+        a = a[idx]
+        with np.errstate(all="ignore"):
+            r = self.profile(a)
+        r = np.where(np.isfinite(r) & (r > 0.0), r, 1.0)
+        lo, hi = np.zeros(len(idx)), np.full(len(idx), np.inf)
+        delta = np.array([[-0.5 * NORM_RTOL], [0.5 * NORM_RTOL]])
+        du = float(np.log1p(delta[1, 0]) - np.log1p(delta[0, 0]))  # log(ends[1] / ends[0])
+        for _ in range(NORM_MAX_ROUNDS):
+            if not len(idx):
                 break
-            half = hi / 2.0
-            mask = open_below & ~outside(half)
-            lo = np.where(open_below & ~mask, half, lo)
-            hi = np.where(mask, half, hi)
-        _, _, out[live] = bisect(
-            outside, lo, hi,
-            lambda lo, hi: np.max((hi - lo) / np.maximum(hi, 1e-300)) < NORM_RTOL, 120)
+            ends = r * (1.0 + delta)  # (2, m)
+            scale = np.maximum(ends[..., None] ** weights, np.finfo(float).tiny)
+            with np.errstate(all="ignore"):
+                f = np.log(self.profile((a / scale).reshape(-1, a.shape[1]))).reshape(2, -1)
+                step = ends[0] * np.exp(-f[0] * du / (f[1] - f[0]))
+            out_lo, out_hi = f > 0.0  # outside the ball at each end
+            lo = np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)))
+            hi = np.minimum(hi, np.where(~out_lo, ends[0], np.where(~out_hi, ends[1], np.inf)))
+            r = np.where((lo < step) & (step < hi), step, np.where(
+                hi == np.inf, 2.0 * lo, np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))))
+            sane = (0.0 < hi) & (lo <= hi) & ~np.isnan(f).any(axis=0)
+            done = sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
+            out[idx[done]] = np.where(np.isfinite(step), np.clip(step, lo, hi), r)[done]
+            keep = sane & ~done
+            idx, a, r, lo, hi = idx[keep], a[keep], r[keep], lo[keep], hi[keep]
         return out
 
     def distance(self, x, y):

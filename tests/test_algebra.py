@@ -3,10 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carnot.algebra import (ATOL, ConfigurationError, GradedGroup, _dynkin_words,
-                            _suffix_plan, group_from_dict, group_law_checks,
-                            preset_group, structure_constants_from_sparse,
-                            validate_grading)
+from carnot.algebra import (ATOL, ConfigurationError, GradedGroup, StructureConstants,
+                            _dynkin_words, _suffix_plan, group_from_dict,
+                            group_law_checks, preset_group,
+                            structure_constants_from_sparse, validate_grading)
 
 
 def heis():
@@ -191,6 +191,20 @@ class TestValidation:
             tracemalloc.stop()
         assert report.ok, report.violations
         assert peak < 20e6  # one dense q^4 Jacobi term alone is 134 MB
+
+    @pytest.mark.parametrize("pair", [(np.nan, np.nan), (np.inf, -np.inf),
+                                      (-np.inf, np.inf), (np.nan, -1.0)],
+                             ids=["nan", "inf", "-inf", "nan-one-side"])
+    def test_non_finite_constants_rejected(self, pair):
+        # every other test compares abs(x) > ATOL, which is False for NaN,
+        # and inf + -inf is NaN, so the antisymmetry test passes both
+        c = np.zeros((3, 3, 3))
+        c[2, 0, 1], c[2, 1, 0] = pair
+        report = validate_grading(StructureConstants(2, (2, 1), c))
+        assert not report.ok
+        assert report.violations[0].startswith("non-finite: c[2][0][1]")
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            GradedGroup(StructureConstants(2, (2, 1), c))
 
     def test_grading_violation_detected(self):
         sc = structure_constants_from_sparse(2, (2, 1), [[1, 1, 2, 1.0]])

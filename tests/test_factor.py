@@ -152,8 +152,8 @@ class TestMonteCarloFallback:
         assert (rep.beta, rep.beta_error) == (2.00018, 0.004472135936887429)
         assert (rep.center_gap, rep.gap_error) == (0.0031199999999997896,
                                                    0.0063245518908457065)
-        assert rep.argmax_center.tolist() == [0.30561386533175916, 0.01253082643989931,
-                                              0.13624251996583175]
+        assert rep.argmax_center.tolist() == [0.30561386533970214, 0.012530826440225724,
+                                              0.1362425199729119]
 
 
 class TestRandomSubspace:

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from carnot.algebra import ConfigurationError, group_from_dict, preset_group
-from carnot.metrics import (MultiradialProfile, bisect, check_axioms, dinf,
+from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, group_from_dict, preset_group
+from carnot.metrics import (NORM_RTOL, MultiradialProfile, bisect, check_axioms, dinf,
                             euclidean, from_profile, hebisch_sikora, koranyi)
+
+# the filiform group of perfbench/configs/check_distance_filiform_hs.json
+FILIFORM5 = {"step": 5, "layer_dims": [2, 1, 1, 1, 1],
+             "bracket": [[3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]}
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +132,143 @@ class TestNorms:
         d = dinf(g, c=2.0)
         assert d.ball_contains(g.zero(), 1.0, np.array([1.0, 0.0, 0.0]))
         assert not d.ball_contains(g.zero(), 1.0, np.array([1.0 + 1e-9, 0.0, 0.0]))
+
+
+def _scattered_points(q, n, seed):
+    # uniform directions in the unit box, scaled over six decades
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (n, q)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+
+
+def _reference_norm(d, x):
+    """The norm by 200 halvings of a bracket grown from [0, 1]."""
+    a = d.group.layer_norms(x)
+    w = np.arange(1, d.group.step + 1, dtype=float)
+    outside = lambda r: d.profile(a / r[:, None] ** w) > 1.0
+    lo, hi = np.zeros(len(a)), np.ones(len(a))
+    while np.any(grow := outside(hi)):
+        lo, hi = np.where(grow, hi, lo), np.where(grow, 2.0 * hi, hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = outside(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _count_profile_calls(d):
+    """Wrap the profile evaluator of `d`; the list collects one entry per call."""
+    calls, inner = [], d.profile.evaluator
+
+    def counting(t):
+        calls.append(np.shape(t))
+        return inner(t)
+
+    d.profile.evaluator = counting
+    return calls
+
+
+class TestCertifiedNorm:
+    @pytest.mark.parametrize("family", ["dinf", "koranyi"])
+    def test_closed_forms(self, g, family):
+        x = _scattered_points(3, 3000, seed=21)
+        h2, t = x[:, 0] ** 2 + x[:, 1] ** 2, x[:, 2]
+        if family == "dinf":
+            d, expected = dinf(g, c=2.0), np.maximum(np.sqrt(h2), 2.0 * np.sqrt(np.abs(t)))
+        else:
+            d, expected = koranyi(g), (h2 ** 2 + 16.0 * t ** 2) ** 0.25
+        np.testing.assert_allclose(d.norm(x), expected, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("spec", ["engel", FILIFORM5], ids=["engel", "filiform5"])
+    def test_hebisch_sikora_against_halving_reference(self, spec):
+        h = group_from_dict(spec)
+        d = hebisch_sikora(h, validate=False)
+        x = _scattered_points(h.q, 2000, seed=22)
+        np.testing.assert_allclose(d.norm(x), _reference_norm(d, x), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("case", ["dinf", "koranyi", "hs-engel", "hs-filiform5"])
+    def test_symmetry_and_homogeneity(self, g, case):
+        if case.startswith("hs-"):
+            h = group_from_dict("engel" if case == "hs-engel" else FILIFORM5)
+            d = hebisch_sikora(h, validate=False)
+        else:
+            h, d = g, (dinf(g) if case == "dinf" else koranyi(g))
+        rng = np.random.default_rng(23)
+        x, y = rng.uniform(-1, 1, (2, 4000, h.q))
+        np.testing.assert_allclose(d.distance(x, y), d.distance(y, x), rtol=1e-13, atol=0)
+        base = d.norm(x)
+        for lam in (1e-3, 0.37, 3.1, 1e3):
+            np.testing.assert_allclose(d.norm(h.dilate(lam, x)), lam * base,
+                                       rtol=1e-13, atol=0)
+
+    def test_step_profile_falls_back_to_the_bracket(self, g):
+        # phi jumps over 1 where 4 rho / r reaches 5, so the norm is 0.8 rho
+        # exactly and phi is flat on both sides: no slope to step along
+        rho = lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+        d = from_profile(g, lambda t: np.floor(4.0 * rho(t)) / 4.0, name="steps",
+                         validate=False)
+        x = _scattered_points(3, 500, seed=24)
+        expected = 0.8 * rho(g.layer_norms(x))
+        err = np.abs(d.norm(x) - expected) / expected
+        assert err.max() <= NORM_RTOL
+
+    def test_batch_across_blocks_matches_single_points(self):
+        h = preset_group("engel")
+        d = hebisch_sikora(h, validate=False)
+        x = _scattered_points(h.q, 2 * CHUNK_COLUMNS + 1, seed=25)
+        batch = d.norm(x)
+        single = np.array([d.norm(p) for p in x])
+        assert batch.tobytes() == single.tobytes()
+
+    def test_non_finite_and_extreme_points(self, g):
+        d, hs = dinf(g), hebisch_sikora(g)
+        for bad in ([np.nan, 0, 0], [np.inf, 0, 0], [0, -np.inf, 0], [0, 0, np.nan]):
+            assert np.isnan(d.norm(bad)) and np.isnan(hs.norm(bad))
+        # beyond the 2^80 growth cap the old search stopped at
+        assert d.norm([1e30, 0, 0]) == pytest.approx(1e30, rel=1e-14)
+        assert hs.norm([1e30, 0, 0]) == pytest.approx(2e30, rel=1e-14)
+        assert d.norm([0, 0, 1e30]) == pytest.approx(2e15, rel=1e-14)
+        assert hs.norm([0, 0, 1e30]) == pytest.approx(np.sqrt(2e30), rel=1e-14)
+        assert d.norm([1e-30, 0, 0]) == pytest.approx(1e-30, rel=1e-14)
+        # a batch keeps its finite points
+        out = d.norm(np.array([[0.3, 0, 0], [np.nan, 0, 0], [0, 0, 0], [1, np.inf, 0]]))
+        assert out[0] == pytest.approx(0.3, rel=1e-14) and out[2] == 0.0
+        assert np.isnan(out[1]) and np.isnan(out[3])
+
+    def test_a_point_never_certified_is_nan(self, g):
+        # a profile that never exceeds 1 leaves every bracket open
+        d = dinf(g, validate=False)
+        d.profile.evaluator = lambda t: np.full(np.shape(t)[:-1], 0.5)
+        assert np.isnan(d.norm([1.0, 0.0, 0.0]))
+        # 2 rho is finite and outside at r < 1.25 but NaN beyond it, so the
+        # bracket would close on 1.25 with no point ever found inside
+        inner = dinf(g, validate=False).profile.evaluator
+        d.profile.evaluator = lambda t: np.where(t[..., 0] < 0.8, np.nan, 2.0 * inner(t))
+        assert np.isnan(d.norm([1.0, 0.0, 0.0]))
+
+    def test_nan_norms_fail_the_axiom_check(self, g):
+        # phi is NaN on part of the unit sphere, past its validation
+        d = dinf(g, validate=False)
+        inner = d.profile.evaluator
+        d.profile.evaluator = lambda t: np.where(t[..., 1] > 0.2, np.nan, inner(t))
+        assert np.isnan(d.norm([0.0, 0.0, 1.0]))
+        report = check_axioms(d, g, n_samples=2000, seed=0)
+        assert not report.ok
+        assert np.isnan({c.name: c for c in report.checks}["triangle"].worst)
+
+    def test_profile_rounds(self, g):
+        # a closed-form profile is certified in one round after the start
+        d = dinf(g)
+        calls = _count_profile_calls(d)
+        x = np.random.default_rng(26).uniform(-1, 1, (20000, 3))
+        d.norm(x)
+        blocks = -(-len(x) // CHUNK_COLUMNS)
+        assert len(calls) == blocks * (1 + 1)
+        # hebisch_sikora on filiform: a start and at most 10 rounds per block
+        h = group_from_dict(FILIFORM5)
+        d = hebisch_sikora(h, validate=False)
+        calls = _count_profile_calls(d)
+        d.norm(np.random.default_rng(27).uniform(-1, 1, (20000, h.q)))
+        assert len(calls) <= blocks * (1 + 10)
 
 
 class TestAxiomSampler:

@@ -274,8 +274,8 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
     rectangle known to contain the preimage) so the locator probes at a
     resolution matched to the region.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
     box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess)
     if box is None:
@@ -414,11 +414,13 @@ def levelset_patch(f: LevelSetSpec, region) -> SurfacePatch:
 
 def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,
                         n_grid: int = 256) -> float:
-    """Spherical-measure area of a level-set graph over a W-region.
+    """Intrinsic surface measure sigma of a level-set graph over a W-region.
 
-    Evaluates |V ^ W| * integral over the region of J_H f / J_V f at the
-    graph points, where V = span{e1}, W = span{e2, e3}, J_V f = X f and
-    J_H f = sqrt((X f)^2 + (Y f)^2).  Requires X f > 0 on the region.
+    Evaluates sigma = |V ^ W| * integral over the region of J_H f / J_V f at
+    the graph points, where V = span{e1}, W = span{e2, e3}, J_V f = X f and
+    J_H f = sqrt((X f)^2 + (Y f)^2).  Requires X f > 0 on the region.  This
+    is not the spherical measure, which is sigma divided by the spherical
+    factor of the tangent planes; `d` is not read.
     """
     U, V, cell = _midpoint_grid(region, n_grid)
     _, pts = _graph_points(f, U, V)

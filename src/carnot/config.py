@@ -20,7 +20,7 @@ import numpy as np
 from .algebra import (ConfigurationError, GradedGroup, checked_int, checked_reals,
                       group_from_dict)
 from .blowup import LevelSetSpec, SurfacePatch
-from .metrics import (DistanceSpec, dinf, euclidean, from_profile,
+from .metrics import (PROFILE_HINT, DistanceSpec, _build, dinf, euclidean,
                       hebisch_sikora, koranyi)
 from .subgroups import HomSubspace, subspace_from_dict
 
@@ -135,8 +135,10 @@ def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceS
             t = np.asarray(t, dtype=float)
             return expr(**{n: t[..., j] for j, n in enumerate(names)})
 
-        return from_profile(g, phi, name=f"profile:{params['expr']}",
-                            validate=validate)
+        # phi is compiled from this string and the group's step alone, so
+        # the string keys the memoized axiom verdict together with the group
+        return _build(g, f"profile:{params['expr']}", phi, False, validate,
+                      PROFILE_HINT, key=("profile", params["expr"]))
     raise ConfigurationError(f"unknown distance family {family!r}")
 
 

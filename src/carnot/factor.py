@@ -15,6 +15,7 @@ deterministic function of the center for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma as _gamma_fn
 from math import pi
 
@@ -142,14 +143,19 @@ def slice_volume_mc(d: DistanceSpec, V: HomSubspace, z, n: int = 100000,
 
 # -- nested quadrature oracle ---------------------------------------------
 
+@lru_cache(maxsize=8)
 def _gl_sin_rule(n_nodes):
     """Gauss-Legendre nodes mapped by x = sin(theta) on (-1, 1).
 
     Absorbs square-root vanishing of ball slices at the domain edge.
+    Cached per n_nodes; the arrays are read-only.
     """
     u, w = np.polynomial.legendre.leggauss(n_nodes)
     theta = u * (pi / 2.0)
-    return np.sin(theta), np.cos(theta) * w * (pi / 2.0)
+    rule = np.sin(theta), np.cos(theta) * w * (pi / 2.0)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,

@@ -9,12 +9,13 @@ phi(t)/r such as dinf and koranyi, and takes safeguarded log-log Newton
 steps.  No closed form is assumed: every norm is certified by a bracket of
 relative width below NORM_RTOL, else it is NaN.  Distance constants of the
 built-in families are validated by a randomized axiom sampler at
-construction time instead of being trusted.
+construction time instead of being trusted; its verdict is memoized per
+process on the family, its exact parameter and the structure constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,6 +34,8 @@ NORM_RTOL = 1e-10
 # hebisch_sikora about 6, a profile with no usable slope about 40
 NORM_MAX_ROUNDS = 200
 RHO_ATOL = 1e-10
+# construction-time axiom verdicts kept per process, least recently used out
+AXIOM_MEMO_SIZE = 64
 
 
 def bisect(lower, lo, hi, done, max_iter, grow=0):
@@ -70,6 +73,8 @@ class MultiradialProfile:
     group: GradedGroup
     evaluator: Callable  # phi(t) with t of shape (..., iota), vectorized
     name: str = "profile"
+    # (evaluator, rho_1) of the last rho_1 bisection
+    _rho1: tuple = field(default=(None, 0.0), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._validate()
@@ -107,7 +112,8 @@ class MultiradialProfile:
     def rho_i(self, i: int, t):
         """sup{s >= 0 : phi(t_1, ..., t_{i-1}, s, 0, ..., 0) < 1}, batched over t.
 
-        rho_1 takes no leading arguments: `rho_i(1, [])`.
+        rho_1 takes no leading arguments: `rho_i(1, [])`.  It is a constant
+        of the profile, bisected on one row once per evaluator and reused.
         """
         iota = self.group.step
         if not 1 <= i <= iota:
@@ -122,15 +128,25 @@ class MultiradialProfile:
             bad = int(np.argmax(self(head) >= 1.0))
             raise ValueError(
                 f"argument {t[bad].tolist()} lies outside the domain T_{i}")
+        if i == 1:
+            if self._rho1[0] is not self.evaluator:
+                rho1 = self._bisect_rho(1, np.zeros((1, iota)))[0]
+                self._rho1 = (self.evaluator, float(rho1))
+            out = np.full(len(t), self._rho1[1])
+        else:
+            out = self._bisect_rho(i, head)
+        return float(out[0]) if scalar_in else out
 
+    def _bisect_rho(self, i, head):
+        """rho_i at each row of `head`, whose first i - 1 entries are set."""
         def below_one(s):
             full = head.copy()
             full[:, i - 1] = s
             return self(full) < 1.0
 
-        _, _, out = bisect(below_one, np.zeros(len(t)), np.ones(len(t)),
+        _, _, out = bisect(below_one, np.zeros(len(head)), np.ones(len(head)),
                            lambda lo, hi: np.max(hi - lo) < RHO_ATOL, 80, grow=64)
-        return float(out[0]) if scalar_in else out
+        return out
 
 
 @dataclass
@@ -205,8 +221,8 @@ class DistanceSpec:
 
     def ball_contains(self, center, r, x):
         """Closed-ball membership of x in B(center, r); batched over x."""
-        if r <= 0:
-            raise ValueError(f"radius must be positive, got {r}")
+        if not 0.0 < r < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {r}")
         g = self.group
         x2 = np.atleast_2d(np.asarray(x, dtype=float))
         u = np.atleast_2d(g.multiply(g.inverse(np.asarray(center, dtype=float))[None, :], x2))
@@ -323,12 +339,35 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
 
 # -- built-in families -----------------------------------------------------
 
-def _build(g, name, evaluator, convex_ball, validate, hint):
+_axiom_memo = {}  # memo key -> AxiomReport, least recently used first
+
+
+def _construction_verdict(d: DistanceSpec, key) -> AxiomReport:
+    """check_axioms(d, n_samples=20000, seed=0), memoized per process.
+
+    `key` must determine the profile on every group, as (family, exact
+    parameter) does; the memo key adds the layer dims and the bracket
+    bytes.  With key None the check always runs.
+    """
+    if key is None:
+        return check_axioms(d, n_samples=20000, seed=0)
+    g = d.group
+    key = (key, g.layer_dims, g.sc.bracket.tobytes())
+    report = _axiom_memo.pop(key, None)
+    if report is None:
+        report = check_axioms(d, n_samples=20000, seed=0)
+    _axiom_memo[key] = report
+    if len(_axiom_memo) > AXIOM_MEMO_SIZE:
+        del _axiom_memo[next(iter(_axiom_memo))]
+    return report
+
+
+def _build(g, name, evaluator, convex_ball, validate, hint, key=None):
     """Distance of a profile; with `validate`, the axiom sampler must pass."""
     prof = MultiradialProfile(group=g, evaluator=evaluator, name=name)
     d = DistanceSpec(group=g, profile=prof, convex_ball=convex_ball, name=name)
     if validate:
-        rep = check_axioms(d, n_samples=20000, seed=0)
+        rep = _construction_verdict(d, key)
         if not rep.ok:
             c = rep.failures()[0]
             raise ConfigurationError(
@@ -343,7 +382,7 @@ def dinf(g: GradedGroup, c: float = DINF_DEFAULT_C, validate: bool = True) -> Di
     c = checked_real(c, "dinf: c", positive=True)
     return _build(g, f"dinf({c:g})",
                   lambda t: np.maximum(t[..., 0], c * np.sqrt(t[..., 1])),
-                  False, validate, "decrease c")
+                  False, validate, "decrease c", key=("dinf", c))
 
 
 def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
@@ -354,7 +393,8 @@ def koranyi(g: GradedGroup, gamma: float = KORANYI_DEFAULT_GAMMA,
     gamma = checked_real(gamma, "koranyi: gamma", positive=True)
     return _build(g, f"koranyi({gamma:g})",
                   lambda t: (t[..., 0] ** 4 + gamma * t[..., 1] ** 2) ** 0.25,
-                  False, validate, "adjust gamma to the bracket normalization")
+                  False, validate, "adjust gamma to the bracket normalization",
+                  key=("koranyi", gamma))
 
 
 def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
@@ -363,7 +403,7 @@ def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
     eps = checked_real(eps, "hebisch_sikora: eps", positive=True)
     return _build(g, f"hebisch_sikora({eps:g})",
                   lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps,
-                  True, validate, "decrease eps")
+                  True, validate, "decrease eps", key=("hebisch_sikora", eps))
 
 
 def euclidean(g: GradedGroup) -> DistanceSpec:
@@ -373,7 +413,11 @@ def euclidean(g: GradedGroup) -> DistanceSpec:
     return _build(g, "euclidean", lambda t: t[..., 0], True, False, None)
 
 
+PROFILE_HINT = "profile does not induce a distance"
+
+
 def from_profile(g: GradedGroup, evaluator, name="profile", convex_ball=False,
                  validate: bool = True) -> DistanceSpec:
-    return _build(g, name, evaluator, convex_ball, validate,
-                  "profile does not induce a distance")
+    """Distance of a user profile; a callable has no memo key, so every
+    validated build runs the axiom sampler."""
+    return _build(g, name, evaluator, convex_ball, validate, PROFILE_HINT)

@@ -127,6 +127,11 @@ class TestMuMeasure:
         with pytest.raises(ValueError):
             mu_measure(vertical_plane(g), dinf(g), g.zero(), 0.0)
 
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_non_finite_radius(self, g, r):
+        with pytest.raises(ValueError, match="radius"):
+            mu_measure(vertical_plane(g), dinf(g), g.zero(), r)
+
 
 class TestDensityCurve:
     def test_vertical_plane_ratios_exact(self, g):

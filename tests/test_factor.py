@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from carnot.algebra import ConfigurationError, preset_group
-from carnot.factor import (convex_normal_check, random_subspace,
+from carnot.factor import (_gl_sin_rule, convex_normal_check, random_subspace,
                            rotational_sweep, slice_volume_mc,
                            slice_volume_nested, spherical_factor,
                            unit_ball_volume)
@@ -54,6 +54,14 @@ class TestNestedQuadrature:
         V = subspace_from_vectors(g, [[1, 0]])
         est = slice_volume_nested(euclidean(g), V)
         assert est.value == pytest.approx(2.0, rel=1e-9)
+
+    def test_cached_rule_is_read_only(self):
+        nodes, weights = _gl_sin_rule(32)
+        for a in (nodes, weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        assert _gl_sin_rule(32)[0] is nodes
+        assert weights.sum() == pytest.approx(2.0, rel=1e-12)
 
 
 class TestMonteCarlo:
@@ -112,6 +120,16 @@ class TestQuadraturePath:
         assert a.beta == b.beta
         assert a.beta_error == b.beta_error
         np.testing.assert_array_equal(a.argmax_center, b.argmax_center)
+
+    @pytest.mark.parametrize("distance, param, beta, beta_error", [
+        (koranyi, 16.0, 0.87401918474219742, 4.4849851334007061e-10),
+        (hebisch_sikora, 0.5, 0.78539816340842594, 3.1699566316496921e-10),
+    ], ids=["koranyi", "hebisch_sikora"])
+    def test_vertical_plane_bits(self, heis, vertical, distance, param, beta, beta_error):
+        # pinned to the bit; the cached rho_1 and rule must not move them
+        for _ in range(2):
+            rep = spherical_factor(distance(heis, param), vertical)
+            assert (repr(rep.beta), repr(rep.beta_error)) == (repr(beta), repr(beta_error))
 
     @pytest.mark.parametrize("group, distance, span, truth", [
         ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]], 1.0),

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from carnot import metrics
 from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, group_from_dict, preset_group
-from carnot.metrics import (NORM_RTOL, MultiradialProfile, bisect, check_axioms, dinf,
-                            euclidean, from_profile, hebisch_sikora, koranyi)
+from carnot.config import distance_from_dict
+from carnot.metrics import (NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect, check_axioms,
+                            dinf, euclidean, from_profile, hebisch_sikora, koranyi)
 
 # the filiform group of perfbench/configs/check_distance_filiform_hs.json
 FILIFORM5 = {"step": 5, "layer_dims": [2, 1, 1, 1, 1],
@@ -63,6 +65,28 @@ class TestProfiles:
         out = p.rho_i(2, t)
         np.testing.assert_allclose(
             out, np.sqrt((1 - t[:, 0] ** 4) / 16.0), rtol=1e-8)
+
+    def test_cached_rho1_matches_fresh_bisection(self, g):
+        for d in (dinf(g), koranyi(g), hebisch_sikora(g), dinf(g, c=1.5)):
+            p = d.profile
+            lower = lambda s: p(np.column_stack([s, np.zeros((1, g.step - 1))])) < 1.0
+            _, _, fresh = bisect(lower, np.zeros(1), np.ones(1),
+                                 lambda lo, hi: np.max(hi - lo) < RHO_ATOL, 80, grow=64)
+            assert p.rho_i(1, []) == fresh[0]
+            np.testing.assert_array_equal(p.rho_i(1, np.zeros((3, 0))), np.full(3, fresh[0]))
+
+    def test_rho1_bisected_once_per_evaluator(self, g):
+        d = dinf(g)
+        p = d.profile
+        calls = _count_profile_calls(d)
+        assert p.rho_i(1, []) == pytest.approx(1.0, rel=1e-9)
+        n = len(calls)
+        assert n > 30
+        assert p.rho_i(1, []) == pytest.approx(1.0, rel=1e-9)
+        assert len(calls) == n + 1  # the domain check only
+        # a new evaluator gets its own rho_1
+        p.evaluator = lambda t: 2.0 * np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+        assert p.rho_i(1, []) == pytest.approx(0.5, rel=1e-9)
 
     def test_invalid_profile_rejected(self, g):
         with pytest.raises(ConfigurationError):
@@ -127,6 +151,12 @@ class TestNorms:
         a = preset_group("abelian:3")
         d = euclidean(a)
         assert d.norm(np.array([3.0, 4.0, 0.0])) == pytest.approx(5.0, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, 0.0, -1.0])
+    def test_ball_contains_rejects_bad_radius(self, g, r):
+        # a NaN radius passes a bare r <= 0 test and would match nothing
+        with pytest.raises(ValueError, match="radius"):
+            dinf(g).ball_contains(g.zero(), r, np.zeros((2, 3)))
 
     def test_ball_contains_is_closed(self, g):
         d = dinf(g, c=2.0)
@@ -328,3 +358,79 @@ class TestAxiomSampler:
         b = check_axioms(d, g, n_samples=5000, seed=3)
         assert [(c.name, c.worst) for c in a.checks] == \
             [(c.name, c.worst) for c in b.checks]
+
+
+class TestAxiomMemo:
+    """The construction-time verdict is computed once per family, parameter and group."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+        original = metrics.check_axioms
+
+        def recording(d, *args, **kwargs):
+            seen.append(d.name)
+            return original(d, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "_axiom_memo", {})
+        monkeypatch.setattr(metrics, "check_axioms", recording)
+        return seen
+
+    def test_keyed_on_parameter_and_bracket(self, g, calls):
+        dinf(g, 2.0)
+        dinf(g, 2.0)
+        assert len(calls) == 1
+        # the same name, "dinf(2)", but another parameter
+        dinf(g, 2.0000001)
+        assert len(calls) == 2
+        half = group_from_dict({"step": 2, "layer_dims": [2, 1], "bracket": [[3, 1, 2, 0.5]]})
+        dinf(half, 2.0)
+        assert len(calls) == 3
+        koranyi(g, 2.0)
+        assert len(calls) == 4
+        dinf(g, 2.0)
+        dinf(half, 2.0)
+        assert len(calls) == 4
+
+    def test_failing_verdict_raises_the_same_message(self, g, calls):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="triangle") as exc:
+                dinf(g, 10.0)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert len(calls) == 1
+
+    def test_config_profiles_keyed_on_expression(self, g, calls):
+        spec = {"family": "profile", "params": {"expr": "max(t1, 2*sqrt(t2))"}}
+        distance_from_dict(g, spec)
+        distance_from_dict(g, spec)
+        assert len(calls) == 1
+        bad = {"family": "profile", "params": {"expr": "max(t1, 10*sqrt(t2))"}}
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="triangle"):
+                distance_from_dict(g, bad)
+        assert len(calls) == 2
+
+    def test_callables_never_share_a_verdict(self, g, calls):
+        good = lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+        bad = lambda t: np.maximum(t[..., 0], 10.0 * np.sqrt(t[..., 1]))
+        from_profile(g, good, name="E")
+        from_profile(g, good, name="E")
+        assert len(calls) == 2
+        # the same name does not let a failing evaluator reuse a pass
+        with pytest.raises(ConfigurationError, match="triangle"):
+            from_profile(g, bad, name="E")
+        assert len(calls) == 3 and metrics._axiom_memo == {}
+
+    def test_unvalidated_builds_skip_the_memo(self, g, calls):
+        dinf(g, 10.0, validate=False)
+        assert calls == [] and metrics._axiom_memo == {}
+
+    def test_bounded_least_recently_used(self, g, calls, monkeypatch):
+        monkeypatch.setattr(metrics, "AXIOM_MEMO_SIZE", 2)
+        for c in (1.0, 1.5, 1.0, 1.25, 1.0, 1.5):
+            dinf(g, c)
+        # 1.25 evicted 1.5, the least recently used
+        assert calls == ["dinf(1)", "dinf(1.5)", "dinf(1.25)", "dinf(1.5)"]
+        assert len(metrics._axiom_memo) == 2

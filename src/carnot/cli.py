@@ -26,6 +26,12 @@ EXIT_OK = 0
 EXIT_INVARIANT = 2
 EXIT_CONFIG = 3
 
+# resource caps, each well above the benchmark configs (1e5 samples, n_grid
+# 512); the README derives them from the memory each unit costs
+MAX_SAMPLES = 10 ** 6
+MAX_N_GRID = 2048
+MAX_SUBSPACES = 1000  # sweep `k`
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -101,13 +107,13 @@ def _samples(cfg: ExperimentConfig, samples, default=100000,
              minimum=factor.MIN_MC_SAMPLES) -> int:
     """Sample count: the --samples override, else the config's, else `default`."""
     if samples is not None:
-        return checked_int(samples, "--samples", minimum)
-    return cfg.integer("samples", default, minimum)
+        return checked_int(samples, "--samples", minimum, MAX_SAMPLES)
+    return cfg.integer("samples", default, minimum, MAX_SAMPLES)
 
 
 def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
-    sc = structure_constants_from_dict(cfg.require("group"))
     n_samples = _samples(cfg, samples, 10000, 1)
+    sc = structure_constants_from_dict(cfg.require("group"))
     rep = RunReport("check-group", cfg.digest, seed,
                     columns=("check", "ok", "residual", "tol"))
     grading = validate_grading(sc)
@@ -126,10 +132,10 @@ def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 
 def cmd_check_distance(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
+    n_samples = _samples(cfg, samples, 100000, 1)
     g = cfg.group()
     d = cfg.distance(g, validate=False)
-    axioms = metrics.check_axioms(d, g, n_samples=_samples(cfg, samples, 100000, 1),
-                                  seed=seed)
+    axioms = metrics.check_axioms(d, g, n_samples=n_samples, seed=seed)
     rep = RunReport("check-distance", cfg.digest, seed,
                     columns=("axiom", "ok", "violation", "tol"))
     for chk in axioms.checks:
@@ -141,11 +147,11 @@ def cmd_check_distance(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 
 def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
+    n_starts, n_mc = cfg.integer("n_starts", 16), _samples(cfg, samples)
     g = cfg.group()
     V = cfg.subspace(g)
     d = cfg.distance(g)
-    res = factor.spherical_factor(d, V, n_starts=cfg.integer("n_starts", 16),
-                                  n_mc=_samples(cfg, samples), seed=seed)
+    res = factor.spherical_factor(d, V, n_starts=n_starts, n_mc=n_mc, seed=seed)
     cols = (["beta", "beta_error", "center_gap", "gap_error", "n_starts",
              "n_mc", "seed", "boundary_argmax"]
             + [f"z{i + 1}" for i in range(g.q)])
@@ -165,11 +171,11 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     if not isinstance(entries, list):
         raise ConfigurationError(f"signature must be a list of integers, got {entries!r}")
     signature = tuple(checked_int(n, "signature entry", 0) for n in entries)
+    k = cfg.integer("k", maximum=MAX_SUBSPACES)
+    n_starts, n_mc = cfg.integer("n_starts", 6), _samples(cfg, samples)
     g = cfg.group()
     d = cfg.distance(g)
-    res = factor.rotational_sweep(d, signature, cfg.integer("k"),
-                                  n_starts=cfg.integer("n_starts", 6),
-                                  n_mc=_samples(cfg, samples), seed=seed)
+    res = factor.rotational_sweep(d, signature, k, n_starts=n_starts, n_mc=n_mc, seed=seed)
     rep = RunReport("sweep", cfg.digest, seed,
                     columns=("index", "beta", "beta_error"))
     for i, (b, e) in enumerate(zip(res.betas, res.std_errors)):
@@ -184,14 +190,15 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     u, v = cfg.reals("point", length=2)
     radii = cfg.reals("radii", [0.4, 0.2, 0.1], positive=True)
+    n_grid = cfg.integer("n_grid", 512, maximum=MAX_N_GRID)
+    n_mc = _samples(cfg, samples)
     g = cfg.group()
     d = cfg.distance(g)
     patch = cfg.surface(g)
     if not isinstance(patch, blowup.SurfacePatch):
         raise ConfigurationError("blowup needs a surface of kind 'param'")
     check = blowup.blowup_check(
-        patch, d, u, v, radii=radii, n_grid=cfg.integer("n_grid", 512),
-        factor_opts={"seed": seed, "n_mc": _samples(cfg, samples)})
+        patch, d, u, v, radii=radii, n_grid=n_grid, factor_opts={"seed": seed, "n_mc": n_mc})
     curve = check.curve
     rep = RunReport("blowup", cfg.digest, seed, columns=("r", "ratio", "err"))
     for r, ratio in zip(curve.radii, curve.ratios):
@@ -207,13 +214,13 @@ def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 
 
 def cmd_graph_area(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
+    n_grid = cfg.integer("n_grid", 256, maximum=MAX_N_GRID)
     g = cfg.group()
     d = cfg.distance(g)
     surface = cfg.surface(g)
     if isinstance(surface, blowup.SurfacePatch):
         raise ConfigurationError("graph-area needs a surface of kind 'levelset'")
     f, region = surface
-    n_grid = cfg.integer("n_grid", 256)
     area = blowup.graph_area_levelset(f, region, d, n_grid=n_grid)
     patch = blowup.levelset_patch(f, region)
     surface_route = blowup.surface_measure_total(patch, n_grid=n_grid)
@@ -263,7 +270,7 @@ def main(argv=None):
         seed = (checked_int(args.seed, "--seed", 0) if args.seed is not None
                 else cfg.integer("seed", 0, minimum=0))
         if args.samples is not None:
-            checked_int(args.samples, "--samples", 1)
+            checked_int(args.samples, "--samples", 1, MAX_SAMPLES)
         report = COMMANDS[args.command](cfg, seed, args.samples)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

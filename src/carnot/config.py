@@ -210,10 +210,10 @@ class ExperimentConfig:
     def get(self, key, default=None):
         return self.raw.get(key, default)
 
-    def integer(self, key, default=None, minimum=1):
+    def integer(self, key, default=None, minimum=1, maximum=None):
         """`key` as a checked integer; required when there is no default."""
         value = self.require(key) if default is None else self.raw.get(key, default)
-        return checked_int(value, key, minimum)
+        return checked_int(value, key, minimum, maximum)
 
     def reals(self, key, default=None, length=None, positive=False):
         """`key` as a tuple of checked finite numbers; required when there is no default."""

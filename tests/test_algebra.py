@@ -7,6 +7,7 @@ from carnot.algebra import (ATOL, ConfigurationError, GradedGroup, StructureCons
                             _dynkin_words, _suffix_plan, group_from_dict,
                             group_law_checks, preset_group,
                             structure_constants_from_sparse, validate_grading)
+from carnot.metrics import hebisch_sikora
 
 
 def heis():
@@ -47,12 +48,25 @@ def reference_product(g, p, q):
     return out
 
 
-@pytest.fixture(scope="module", params=[2, 3, 4, 5, 6], ids=lambda s: f"step{s}")
+# free nilpotent algebras whose upper layers have more than one row:
+# name -> (step, layer_dims, 1-based [k, i, j, value] entries)
+WIDE_GROUPS = {
+    "free3-rank2": (3, (2, 1, 2), [[3, 1, 2, 0.7], [4, 1, 3, -1.3], [5, 1, 3, 0.5],
+                                   [5, 2, 3, 2.1]]),
+    "free2-rank3": (2, (3, 3), [[4, 1, 2, 0.7], [6, 1, 2, -0.4], [5, 1, 3, -1.3],
+                                [6, 2, 3, 2.1], [4, 2, 3, 0.3]]),
+}
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4, 5, 6, *WIDE_GROUPS],
+                ids=lambda s: f"step{s}" if isinstance(s, int) else s)
 def stepped(request):
-    """Filiform group [e1, e_k] = c_k e_{k+1}, k = 2..step.
+    """Filiform group [e1, e_k] = c_k e_{k+1}, k = 2..step, or a WIDE_GROUPS entry.
 
     Constants other than 1 make a change of operand order show in the bits.
     """
+    if request.param in WIDE_GROUPS:
+        return GradedGroup(structure_constants_from_sparse(*WIDE_GROUPS[request.param]))
     step = request.param
     return GradedGroup(structure_constants_from_sparse(
         step, (2,) + (1,) * (step - 1),
@@ -97,6 +111,40 @@ class TestSharedSuffixProduct:
         rng = np.random.default_rng(24)
         center = rng.uniform(-1, 1, size=(1, stepped.q))
         self.assert_identical(stepped, center, rng.uniform(-1, 1, size=(2500, stepped.q)))
+
+
+class TestGradedStages:
+    def test_bracket_terms_per_block(self):
+        # the shared-suffix plan over every sparse entry makes 4, 24 and 240
+        filiform = group_from_dict({"step": 5, "layer_dims": [2, 1, 1, 1, 1], "bracket": [
+            [3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]})
+        counts = [sum(len(brackets) * len(entries) for _, brackets, entries, _ in g._stages)
+                  for g in (heis(), preset_group("engel"), filiform)]
+        assert counts == [4, 12, 60]
+
+
+class TestNonFiniteFactors:
+    """A NaN or infinite coordinate in either factor never gives a finite result.
+
+    Which coordinates come out NaN rather than infinite is not pinned: the
+    product skips bracket terms whose inner operand is zero by grading.
+    """
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_product_and_distance(self, stepped, bad):
+        d = hebisch_sikora(stepped, validate=False)
+        rng = np.random.default_rng(25)
+        # row k of `broken` has its k-th coordinate replaced
+        broken = rng.uniform(-1, 1, size=(stepped.q, stepped.q))
+        np.fill_diagonal(broken, bad)
+        finite = rng.uniform(-1, 1, size=(stepped.q, stepped.q))
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are expected
+            for a, b in ((broken, finite), (finite, broken)):
+                assert not np.isfinite(stepped.multiply(a, b)).all(axis=1).any()
+                assert np.isnan(d.distance(a, b)).all()
+                for pa, pb in zip(a, b):
+                    assert not np.isfinite(stepped.multiply(pa, pb)).all()
+                    assert np.isnan(d.distance(pa, pb))
 
 
 class TestHeisenbergLaw:

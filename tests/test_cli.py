@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from carnot import blowup, cli, metrics
+from carnot import blowup, cli, factor, metrics
 from carnot.cli import main
 
 
@@ -310,6 +310,64 @@ class TestConfigFaults:
         assert run(["check-group", "--config", cfg]) == 3
         assert time.perf_counter() - t0 < 5.0
         assert "dimension" in capsys.readouterr().err
+
+
+class TestResourceCaps:
+    """Counts above their caps end as exit 3, named, before any work starts."""
+
+    LEVELSET = {"kind": "levelset", "expr": {"f": "x - y**2"}, "domain": [[0, 1], [0, 1]]}
+    BASE = {"group": "heisenberg1", "distance": {"family": "dinf"},
+            "subspace": "vertical_plane_x0", "signature": [1, 1], "k": 2,
+            "surface": PARABOLOID, "point": [0, 0]}
+    KEYS = {"check-group": ("group",), "check-distance": ("group", "distance"),
+            "beta": ("group", "distance", "subspace"),
+            "sweep": ("group", "distance", "signature", "k"),
+            "blowup": ("group", "distance", "surface", "point"),
+            "graph-area": ("group", "distance")}
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def started(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        # check_axioms also stands for the construction-time verdict
+        for module, name in ((metrics, "check_axioms"), (cli, "group_law_checks"),
+                             (factor, "spherical_factor"), (factor, "rotational_sweep"),
+                             (blowup, "blowup_check"), (blowup, "graph_area_levelset")):
+            monkeypatch.setattr(module, name, started)
+
+    def config(self, tmp_path, command, payload):
+        return write_cfg(tmp_path, "c.json", {**{k: self.BASE[k] for k in self.KEYS[command]},
+                                              **payload})
+
+    @pytest.mark.parametrize("command, payload, extra, cause", [
+        ("check-group", {"samples": cli.MAX_SAMPLES + 1}, [], "samples must be"),
+        ("check-distance", {"samples": 10 ** 12}, [], "samples must be"),
+        ("check-distance", {}, ["--samples", str(cli.MAX_SAMPLES + 1)], "--samples must be"),
+        ("beta", {"samples": 10 ** 9}, [], "samples must be"),
+        ("sweep", {"samples": 10 ** 9}, [], "samples must be"),
+        ("sweep", {"k": cli.MAX_SUBSPACES + 1}, [], "k must be"),
+        ("blowup", {"samples": 10 ** 9}, [], "samples must be"),
+        ("blowup", {"n_grid": cli.MAX_N_GRID + 1}, [], "n_grid must be"),
+        ("graph-area", {"n_grid": 10 ** 6, "surface": LEVELSET}, [], "n_grid must be"),
+    ], ids=["check-group-samples", "check-distance-samples", "cli-samples", "beta-samples",
+            "sweep-samples", "sweep-k", "blowup-samples", "blowup-n_grid",
+            "graph-area-n_grid"])
+    def test_count_above_its_cap(self, tmp_path, capsys, command, payload, extra, cause):
+        cfg = self.config(tmp_path, command, payload)
+        assert run([command, "--config", cfg, *extra]) == 3
+        captured = capsys.readouterr()
+        assert cause in captured.err and "<=" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, payload", [
+        ("check-distance", {"samples": cli.MAX_SAMPLES}),
+        ("graph-area", {"n_grid": cli.MAX_N_GRID, "surface": LEVELSET}),
+    ], ids=["samples", "n_grid"])
+    def test_count_at_its_cap_is_run(self, tmp_path, command, payload):
+        cfg = self.config(tmp_path, command, payload)
+        with pytest.raises(AssertionError, match="the run started"):
+            run([command, "--config", cfg])
 
 
 class TestDeterminism:

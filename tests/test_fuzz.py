@@ -2,9 +2,9 @@
 
 Each subcommand has a small valid config.  One field of it, at any depth, is
 replaced by an arbitrary JSON value and the command is run in-process.
-Numbers stay within [-16, 16] (plus NaN and the infinities) because sample
-counts, n_grid and k have no resource cap yet, so a large value would only
-make a valid run slow or large.
+Numbers stay within [-16, 16] (plus NaN and the infinities): sample counts,
+n_grid and k are valid up to their caps (10^6, 2048 and 1000), so a large
+value below a cap would only make a valid run slow or large.
 """
 
 import contextlib

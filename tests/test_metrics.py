@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carnot import metrics
+from carnot import metrics, randomness
 from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, group_from_dict, preset_group
 from carnot.config import distance_from_dict
 from carnot.metrics import (NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect, check_axioms,
@@ -358,6 +358,69 @@ class TestAxiomSampler:
         b = check_axioms(d, g, n_samples=5000, seed=3)
         assert [(c.name, c.worst) for c in a.checks] == \
             [(c.name, c.worst) for c in b.checks]
+
+
+def looped_axiom_report(d, n_samples, seed):
+    """check_axioms with every canonical probe pair evaluated on its own.
+
+    The probes are (x, y) = (+-e_i, e_j) in the order i, j, sign; each is
+    scored as ||x*y|| - ||x|| - ||y|| with the witness (0, x, x*y).  A
+    non-finite score wins and is kept, else a strictly larger one replaces
+    the current worst.  The random blocks follow the same rule.
+    """
+    g = d.group
+    checks = {}
+
+    def update(name, worst, witness):
+        cur = checks.get(name)
+        if cur is not None and not np.isfinite(cur[0]):
+            return
+        if cur is None or not np.isfinite(worst) or worst > cur[0]:
+            checks[name] = (worst, witness)
+
+    for i in range(1, g.q + 1):
+        for j in range(1, g.q + 1):
+            for si in (1.0, -1.0):
+                x, y = si * g.basis_vector(i), g.basis_vector(j)
+                xy = g.multiply(x, y)
+                update("triangle", d.norm(xy) - d.norm(x) - d.norm(y),
+                       (np.zeros(g.q).tolist(), x.tolist(), xy.tolist()))
+
+    rng = randomness.stream(seed, randomness.OP_AXIOMS)
+    for lo in range(0, n_samples, 20000):
+        n = min(20000, n_samples - lo)
+        X, Y, Z = (rng.uniform(-1, 1, (n, g.q)) for _ in range(3))
+        r = rng.uniform(0.1, 2.0, n)
+        dxy, dyz, dxz = d.distance(X, Y), d.distance(Y, Z), d.distance(X, Z)
+        for k, viol in enumerate(dxz - dxy - dyz):
+            update("triangle", viol, (X[k].tolist(), Y[k].tolist(), Z[k].tolist()))
+        for k, sym in enumerate(np.abs(dxy - d.distance(Y, X))):
+            update("symmetry", sym, (X[k].tolist(), Y[k].tolist()))
+        Xr = np.stack([g.dilate(ri, xi) for ri, xi in zip(r[:64], X[:64])])
+        Yr = np.stack([g.dilate(ri, yi) for ri, yi in zip(r[:64], Y[:64])])
+        for k, hom in enumerate(np.abs(d.distance(Xr, Yr) - r[:64] * dxy[:64])):
+            update("homogeneity", hom, (X[k].tolist(), Y[k].tolist(), float(r[k])))
+    return sorted(checks.items())
+
+
+class TestProbeBatching:
+    """The batched probe pass reports what the per-pair loop reports, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["dinf10-heisenberg1", "hebisch_sikora-filiform"])
+    @pytest.mark.parametrize("n_samples", [0, 3000])
+    def test_report_matches_per_pair_loop(self, g, case, n_samples):
+        if case == "dinf10-heisenberg1":
+            d = dinf(g, c=10.0, validate=False)
+        else:
+            d = hebisch_sikora(group_from_dict(FILIFORM5), validate=False)
+        report = check_axioms(d, n_samples=n_samples, seed=4)
+        expected = looped_axiom_report(d, n_samples, seed=4)
+        assert [c.name for c in report.checks] == [name for name, _ in expected]
+        for c, (name, (worst, witness)) in zip(report.checks, expected):
+            assert np.float64(c.worst).tobytes() == np.float64(worst).tobytes(), name
+            assert c.witness == witness, name
+        if case == "dinf10-heisenberg1":
+            assert [c.name for c in report.failures()] == ["triangle"]
 
 
 class TestAxiomMemo:

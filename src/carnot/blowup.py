@@ -179,8 +179,8 @@ def _cross_hits(patch, d, center, r, axis, value, span, n=2048):
     return bool(np.any(d.ball_contains(center, r, pts)))
 
 
-def _hit_cell_bounds(patch, d, center, r, box, n=512):
-    """Bounding box of ball-membership grid hits inside `box`, or None."""
+def _hit_cell_bounds(patch, d, center, r, box, n):
+    """Bounding box of ball-membership hits of an n x n grid on `box`, or None."""
     U, V, _ = _midpoint_grid(box, n)
     inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
     if not np.any(inside):
@@ -195,73 +195,42 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                         guess=None):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
-    Starts from `guess` (any rectangle known to contain the preimage, e.g.
-    the tight box of a larger concentric ball), grows it while ball points
-    cross its edges, then tightens each free side by bisection.  Returns
-    (box, touches_domain_boundary), or (None, False) when the ball misses
-    the patch.  Without a guess the whole domain is probed on a uniform
-    grid, which can overlook regions much thinner than the grid spacing.
+    A 512 x 512 hit grid on `guess` clipped to the domain, or on the domain
+    when there is no guess, locates the preimage.  Each edge then moves to
+    the boundary of the hit region by bisection, on probe lines that span
+    the other axis's hit extent widened by one grid cell.  The guess must
+    contain the preimage: one that misses the ball, or whose interior edge
+    still meets it, gives way to the domain search.  Returns (box,
+    touches_domain_boundary), or (None, False) when the ball misses the
+    patch.  The domain grid can overlook regions much thinner than a cell.
     """
+    n = 512
     dom = patch.domain
-    (du0, du1), (dv0, dv1) = dom
-    box = [list(map(float, side)) for side in (guess if guess is not None else dom)]
-    box[0] = [max(box[0][0], du0), min(box[0][1], du1)]
-    box[1] = [max(box[1][0], dv0), min(box[1][1], dv1)]
-
-    hits = _hit_cell_bounds(patch, d, center, r, box)
-    if hits is None and guess is not None:
-        box = [[du0, du1], [dv0, dv1]]
-        hits = _hit_cell_bounds(patch, d, center, r, box)
+    box = dom if guess is None else tuple(
+        (max(float(lo), dlo), min(float(hi), dhi)) for (lo, hi), (dlo, dhi) in zip(guess, dom))
+    hits = _hit_cell_bounds(patch, d, center, r, box, n)
     if hits is None:
-        return None, False
-
-    # grow any side whose edge still meets the ball (domain edges stay put)
-    moved = False
-    for _ in range(80):
-        grew = False
-        for axis, (dlo, dhi) in enumerate(((du0, du1), (dv0, dv1))):
-            span = tuple(box[1 - axis])
-            width = box[axis][1] - box[axis][0]
-            if box[axis][0] > dlo and _cross_hits(patch, d, center, r, axis,
-                                                  box[axis][0], span):
-                box[axis][0] = max(dlo, box[axis][0] - 0.5 * width)
-                grew = True
-            if box[axis][1] < dhi and _cross_hits(patch, d, center, r, axis,
-                                                  box[axis][1], span):
-                box[axis][1] = min(dhi, box[axis][1] + 0.5 * width)
-                grew = True
-        if not grew:
-            break
-        moved = True
-    if moved:
-        hits = _hit_cell_bounds(patch, d, center, r, box)
-        if hits is None:
-            return None, False
-
-    blind = guess is None
+        return (None, False) if guess is None else _param_bounding_box(patch, d, center, r)
     touches = False
     out = []
-    for axis, (dlo, dhi) in enumerate(((du0, du1), (dv0, dv1))):
-        span = tuple(box[1 - axis])
+    for axis in (0, 1):
+        (b0, b1), (h0, h1) = box[1 - axis], hits[1 - axis]
+        cell = (b1 - b0) / n
+        span = (max(b0, h0 - cell), min(b1, h1 + cell))
         scale = max(1.0, abs(box[axis][0]) + abs(box[axis][1]))
         cross = lambda x: _cross_hits(patch, d, center, r, axis, x, span)
         side = []
-        # each free edge moves to the boundary of the hit region
-        for edge, hit in zip(box[axis], hits[axis]):
-            if cross(edge):
-                touches = True
-            else:
+        for edge, hit, dom_edge in zip(box[axis], hits[axis], dom[axis]):
+            if not cross(edge):
                 edge = float(bisect(lambda x: not cross(x), edge, hit,
                                     lambda lo, hi: abs(hi - lo) < 1e-12 * scale, 50)[0])
+            elif edge == dom_edge:
+                touches = True
+            else:  # the guess cuts the preimage
+                return _param_bounding_box(patch, d, center, r)
             side.append(edge)
         out.append(tuple(side))
-    box = (tuple(out[0]), tuple(out[1]))
-    if blind:
-        # re-tighten with probe spacing matched to the located region, so
-        # the result is independent of how large the blind starting domain
-        # was (boundary detection error scales with the probe spacing)
-        return _param_bounding_box(patch, d, center, r, guess=box)
-    return box, touches
+    return tuple(out), touches
 
 
 def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
@@ -270,9 +239,10 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
 
     Midpoint rule on a tight parameter bounding box of the ball preimage;
     `truncated` is set when the ball reaches the patch boundary.  For small
-    balls far below the patch scale, pass `box_guess` (a parameter
-    rectangle known to contain the preimage) so the locator probes at a
-    resolution matched to the region.
+    balls far below the patch scale, pass `box_guess`, a parameter rectangle
+    that contains the preimage, so the locator probes at a resolution
+    matched to the region.  A guess that misses the ball or cuts the
+    preimage is not used: the whole domain is searched instead.
     """
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")

@@ -31,6 +31,7 @@ EXIT_CONFIG = 3
 MAX_SAMPLES = 10 ** 6
 MAX_N_GRID = 2048
 MAX_SUBSPACES = 1000  # sweep `k`
+MAX_STARTS = 256  # `n_starts` of beta and sweep
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,15 @@ def _samples(cfg: ExperimentConfig, samples, default=100000,
     return cfg.integer("samples", default, minimum, MAX_SAMPLES)
 
 
+def _add_checks(rep: RunReport, checks):
+    """One row and one verdict per check; a failed check's witness as a note."""
+    for chk in checks:
+        rep.rows.append((chk.name, chk.ok, chk.worst, chk.tol))
+        rep.verdicts.append(Verdict(chk.name, chk.ok, chk.worst, chk.tol))
+        if not chk.ok and chk.witness:
+            rep.notes.append(f"counterexample for {chk.name}: {chk.witness}")
+
+
 def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     n_samples = _samples(cfg, samples, 10000, 1)
     sc = structure_constants_from_dict(cfg.require("group"))
@@ -125,9 +135,7 @@ def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
         return rep
     g = GradedGroup(sc)
     rep.notes.append(f"group: step {g.step}, layer_dims {g.layer_dims}, Q = {g.Q}")
-    for chk in group_law_checks(g, n_samples=n_samples, seed=seed):
-        rep.rows.append((chk.name, chk.ok, chk.worst, chk.tol))
-        rep.verdicts.append(Verdict(chk.name, chk.ok, chk.worst, chk.tol))
+    _add_checks(rep, group_law_checks(g, n_samples=n_samples, seed=seed))
     return rep
 
 
@@ -138,16 +146,13 @@ def cmd_check_distance(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     axioms = metrics.check_axioms(d, g, n_samples=n_samples, seed=seed)
     rep = RunReport("check-distance", cfg.digest, seed,
                     columns=("axiom", "ok", "violation", "tol"))
-    for chk in axioms.checks:
-        rep.rows.append((chk.name, chk.ok, chk.worst, chk.tol))
-        rep.verdicts.append(Verdict(chk.name, chk.ok, chk.worst, chk.tol))
-        if not chk.ok:
-            rep.notes.append(f"counterexample for {chk.name}: {chk.witness}")
+    _add_checks(rep, axioms.checks)
     return rep
 
 
 def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
-    n_starts, n_mc = cfg.integer("n_starts", 16), _samples(cfg, samples)
+    n_starts = cfg.integer("n_starts", 16, maximum=MAX_STARTS)
+    n_mc = _samples(cfg, samples)
     g = cfg.group()
     V = cfg.subspace(g)
     d = cfg.distance(g)
@@ -172,7 +177,8 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
         raise ConfigurationError(f"signature must be a list of integers, got {entries!r}")
     signature = tuple(checked_int(n, "signature entry", 0) for n in entries)
     k = cfg.integer("k", maximum=MAX_SUBSPACES)
-    n_starts, n_mc = cfg.integer("n_starts", 6), _samples(cfg, samples)
+    n_starts = cfg.integer("n_starts", 6, maximum=MAX_STARTS)
+    n_mc = _samples(cfg, samples)
     g = cfg.group()
     d = cfg.distance(g)
     res = factor.rotational_sweep(d, signature, k, n_starts=n_starts, n_mc=n_mc, seed=seed)
@@ -180,8 +186,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
                     columns=("index", "beta", "beta_error"))
     for i, (b, e) in enumerate(zip(res.betas, res.std_errors)):
         rep.rows.append((i, b, e))
-    rep.verdicts.append(Verdict("spread_within_3sigma_bars",
-                                res.spread <= res.spread_error,
+    rep.verdicts.append(Verdict("spread_within_3sigma_bars", res.ok,
                                 res.spread, res.spread_error))
     rep.notes.append(f"mean beta: {_fmt(res.mean)}")
     return rep

@@ -29,8 +29,10 @@ from .subgroups import HomSubspace, is_normal, subspace_from_signature_reference
 MAX_BOX_DOUBLINGS = 20
 MIN_MC_SAMPLES = 1000
 GL_NODES = 32
-MAX_QUAD_LAYER_DIM = 3
-MAX_QUAD_BATCH = 1 << 16
+# rows of the nested-quadrature batch, n_nodes^(n_1 + ... + n_{iota-1}); a
+# row costs about 480 bytes on the step-5 filiform group (q = 6), so a batch
+# at the budget peaks near 125 MB
+MAX_QUAD_ROWS = 1 << 18
 NM_MAXITER = 120
 
 
@@ -165,16 +167,18 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
     Layers are integrated outermost-first over Euclidean balls whose radii
     come from the profile's rho functions and whose centers are the
     BCH-shifted images of z; the innermost layer uses the closed form
-    omega_m * (rho^2 - dist^2)^(m/2) for an affine slice of a ball.
+    omega_m * (rho^2 - dist^2)^(m/2) for an affine slice of a ball.  The
+    layers below the top expand a batch of n_nodes^(n_1 + ... + n_{iota-1})
+    rows, refused above MAX_QUAD_ROWS before anything is computed.
     """
+    k = sum(V.signature[:-1])
+    if n_nodes ** k > MAX_QUAD_ROWS:
+        raise ConfigurationError(
+            f"nested quadrature needs {n_nodes}^{k} rows > {MAX_QUAD_ROWS}, "
+            "use slice_volume_mc")
     g = d.group
     prof = d.profile
     z = g.zero() if z is None else np.asarray(z, dtype=float)
-    for nj in V.signature:
-        if nj > MAX_QUAD_LAYER_DIM:
-            raise ConfigurationError(
-                f"layer dimension {nj} > {MAX_QUAD_LAYER_DIM}: nested quadrature "
-                "cost is prohibitive, use slice_volume_mc")
     inv_z = g.inverse(z)
     nodes1, weights1 = _gl_sin_rule(n_nodes)
 
@@ -260,15 +264,14 @@ def _quadrature_complement(V: HomSubspace):
     """Orthonormal basis of W = V^perp in H_1 if the quadrature search applies.
 
     It applies when V's signature is (n_1, d_2, ..., d_iota), 1 <= dim W <= 2,
-    every n_j is at most MAX_QUAD_LAYER_DIM and the nested batch of
-    slice_volume_nested stays within MAX_QUAD_BATCH rows; otherwise None.
+    and the nested batch of the 2 * GL_NODES error bar stays within
+    MAX_QUAD_ROWS rows; otherwise None.
     """
     g = V.group
     sig = V.signature
     m = g.layer_dims[0] - sig[0]
     if (sig[1:] != g.layer_dims[1:] or not 1 <= m <= 2
-            or max(sig) > MAX_QUAD_LAYER_DIM
-            or GL_NODES ** sum(sig[:-1]) > MAX_QUAD_BATCH):
+            or (2 * GL_NODES) ** sum(sig[:-1]) > MAX_QUAD_ROWS):
         return None
     B1 = V.layer_bases[0]
     u, _, _ = np.linalg.svd(np.eye(g.layer_dims[0]) - B1 @ B1.T)

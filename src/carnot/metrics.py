@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import randomness
-from .algebra import CHUNK_COLUMNS, ConfigurationError, GradedGroup, checked_real
+from .algebra import CHUNK_COLUMNS, Check, ConfigurationError, GradedGroup, checked_real
 
 # Calibrated by dyadic search over the axiom sampler (largest passing value)
 # under the [e1,e2]=e3 bracket normalization of the presets.
@@ -235,18 +235,6 @@ class DistanceSpec:
 # -- axiom sampler ---------------------------------------------------------
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    worst: float
-    witness: tuple
-    tol: float
-
-    @property
-    def ok(self):
-        return bool(np.isfinite(self.worst) and self.worst <= self.tol)
-
-
-@dataclass(frozen=True)
 class AxiomReport:
     checks: tuple
     seed: int
@@ -330,7 +318,7 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
         update("homogeneity", float(hom[i]), (X[i].tolist(), Y[i].tolist(), float(r[i])))
         done += n
 
-    out = [AxiomCheck(name, worst, witness, tol)
+    out = [Check(name, worst, tol, witness)
            for name, (worst, witness) in sorted(checks.items())]
     return AxiomReport(checks=tuple(out), seed=seed, n_samples=n_samples)
 

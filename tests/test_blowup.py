@@ -133,6 +133,34 @@ class TestMuMeasure:
             mu_measure(vertical_plane(g), dinf(g), g.zero(), r)
 
 
+class TestLocator:
+    """A box_guess must contain the preimage; any other guess is ignored."""
+
+    @pytest.mark.parametrize("guess", [
+        ((0.6, 0.9), (0.6, 0.9)),    # misses the ball
+        ((-0.1, 0.9), (-0.9, 0.9)),  # interior edge u = -0.1 cuts the preimage
+    ])
+    @pytest.mark.parametrize("family", [dinf, koranyi])
+    def test_bad_guess_gives_domain_search(self, g, guess, family):
+        patch, d = paraboloid(g), family(g)
+        blind = mu_measure(patch, d, g.zero(), 0.3)
+        est = mu_measure(patch, d, g.zero(), 0.3, box_guess=guess)
+        assert est == blind
+
+    @pytest.mark.parametrize("half", [1.0, 4.0])
+    def test_vertical_plane_without_guess(self, g, half):
+        # the preimage |u| <= r, |v| <= r^2/c^2 spans several cells of the
+        # 512^2 hit grid on either domain
+        patch = SurfacePatch(
+            group=g, fn=lambda U, V: np.stack([np.zeros_like(U), U, V], axis=-1),
+            domain=((-half, half), (-half, half)))
+        for c in (2.0, 1.5):
+            for r in (0.5, 0.3):
+                est = mu_measure(patch, dinf(g, c=c), g.zero(), r)
+                assert est.value == pytest.approx((4.0 / c ** 2) * r ** 3, rel=1e-6)
+                assert not est.truncated
+
+
 class TestDensityCurve:
     def test_vertical_plane_ratios_exact(self, g):
         curve = density_curve(vertical_plane(g), dinf(g), 0.0, 0.0,

@@ -347,12 +347,14 @@ class TestResourceCaps:
         ("beta", {"samples": 10 ** 9}, [], "samples must be"),
         ("sweep", {"samples": 10 ** 9}, [], "samples must be"),
         ("sweep", {"k": cli.MAX_SUBSPACES + 1}, [], "k must be"),
+        ("beta", {"n_starts": 10 ** 9}, [], "n_starts must be"),
+        ("sweep", {"n_starts": cli.MAX_STARTS + 1}, [], "n_starts must be"),
         ("blowup", {"samples": 10 ** 9}, [], "samples must be"),
         ("blowup", {"n_grid": cli.MAX_N_GRID + 1}, [], "n_grid must be"),
         ("graph-area", {"n_grid": 10 ** 6, "surface": LEVELSET}, [], "n_grid must be"),
     ], ids=["check-group-samples", "check-distance-samples", "cli-samples", "beta-samples",
-            "sweep-samples", "sweep-k", "blowup-samples", "blowup-n_grid",
-            "graph-area-n_grid"])
+            "sweep-samples", "sweep-k", "beta-n_starts", "sweep-n_starts", "blowup-samples",
+            "blowup-n_grid", "graph-area-n_grid"])
     def test_count_above_its_cap(self, tmp_path, capsys, command, payload, extra, cause):
         cfg = self.config(tmp_path, command, payload)
         assert run([command, "--config", cfg, *extra]) == 3

@@ -1,9 +1,13 @@
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from carnot.algebra import ConfigurationError, preset_group
-from carnot.factor import (_gl_sin_rule, convex_normal_check, random_subspace,
+from carnot.algebra import (ConfigurationError, GradedGroup, preset_group,
+                            structure_constants_from_sparse)
+from carnot.factor import (MAX_QUAD_ROWS, _gl_sin_rule, convex_normal_check, random_subspace,
                            rotational_sweep, slice_volume_mc,
                            slice_volume_nested, spherical_factor,
                            unit_ball_volume)
@@ -155,6 +159,38 @@ class TestQuadraturePath:
         g = preset_group(group)
         d, V = distance(g), subspace_from_vectors(g, span)
         rep = spherical_factor(d, V)
+        mc = slice_volume_mc(d, V, rep.argmax_center, n=1000000, seed=1)
+        assert abs(rep.beta - mc.value) <= 3 * np.hypot(mc.std_error, rep.beta_error)
+
+
+class TestQuadratureBudget:
+    def test_over_budget_direct_call_raises_before_allocating(self):
+        # a (2, 1, 1, 1, 0) slice of filiform would expand 32^5 rows, about 14 GB
+        g = GradedGroup(structure_constants_from_sparse(
+            5, (2, 1, 1, 1, 1), [[3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]))
+        d, V = hebisch_sikora(g, validate=False), subspace_from_vectors(g, np.eye(6)[:5])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match=f"32\\^5 rows > {MAX_QUAD_ROWS}"):
+                slice_volume_nested(d, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_wide_top_layer_takes_quadrature(self):
+        # free step-2 group of rank 4; V = span{e1, e2} + H_2 has a closed-form
+        # top layer of dimension 6, and its slice under dinf(c=1) is a disc
+        # times a 6-ball, so beta = pi * omega_6
+        pairs = combinations(range(1, 5), 2)
+        g = GradedGroup(structure_constants_from_sparse(
+            2, (4, 6), [[5 + n, i, j, 1.0] for n, (i, j) in enumerate(pairs)]))
+        d = dinf(g, c=1.0)
+        V = subspace_from_vectors(g, np.eye(10)[[0, 1, 4, 5, 6, 7, 8, 9]])
+        assert V.signature == (2, 6)
+        rep = spherical_factor(d, V)
+        assert rep.method == "nested_quadrature"
+        assert abs(rep.beta - np.pi * unit_ball_volume(6)) <= 3 * rep.beta_error
         mc = slice_volume_mc(d, V, rep.argmax_center, n=1000000, seed=1)
         assert abs(rep.beta - mc.value) <= 3 * np.hypot(mc.std_error, rep.beta_error)
 

@@ -1,15 +1,17 @@
-"""Slice-volume oracles and spherical-factor maximization.
+"""Slice-volume oracles and the spherical factor.
 
 The spherical factor of a distance with respect to a homogeneous subspace V
 is the maximum over ball centers z of the Euclidean volume of V
 intersected with the unit metric ball at z.  Two independent volume
 oracles are provided: hit-or-miss Monte Carlo, which only queries ball
 membership, and a nested Gauss-Legendre quadrature of the layerwise Fubini
-reduction, which uses the profile's rho functions.  When V contains every
-layer above the first, the maximization runs on the quadrature oracle
-over the small horizontal complement of V; otherwise it is multi-start
-Nelder-Mead on a common-random-numbers surface, so the objective is a
-deterministic function of the center for a fixed seed.
+reduction, which uses the profile's rho functions.  For an ideal V (it
+holds every layer above the first) and for a horizontal V the symmetry of
+the multiradial ball puts the maximum at the origin, so beta is the origin
+volume: nested quadrature or, above the row budget, Monte Carlo for an
+ideal, and omega_k * rho_1^k for a horizontal V.  Every other V takes a
+multi-start Nelder-Mead on a common-random-numbers surface, so the
+objective is a deterministic function of the center for a fixed seed.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ class VolumeEstimate:
 @dataclass(frozen=True)
 class FactorReport:
     beta: float
-    beta_error: float  # MC: one standard error; quadrature: an error bound
-    argmax_center: np.ndarray
-    center_gap: float
-    gap_error: float  # hypot of the errors of beta and of the origin volume
-    n_starts: int
-    n_mc: int
+    beta_error: float  # MC: one standard error; quadrature, closed form: a bound
+    argmax_center: np.ndarray  # the origin on the ideal and horizontal routes
+    center_gap: float  # beta minus the origin volume; 0 on those routes by proof
+    gap_error: float  # MC search: hypot of the errors of beta and the origin; else 0
+    n_starts: int  # 0 unless the MC search ran
+    n_mc: int  # 0 on the quadrature and closed-form routes
     seed: int
     boundary_argmax: bool
-    method: str  # "nested_quadrature" | "mc"
+    method: str  # "nested_quadrature" | "closed_form" | "mc"
 
 
 @dataclass(frozen=True)
@@ -241,102 +243,58 @@ def _project_to_unit_ball(d: DistanceSpec, z):
 
 def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
                      n_mc: int = 100000, seed: int = 0) -> FactorReport:
-    """Maximize the slice volume over ball centers in the unit metric ball.
+    """Maximum of the slice volume over ball centers in the unit metric ball.
 
-    When V contains every layer above the first, V is an ideal and every
-    center factors as z = w * v with v in V and w the part of z_1 orthogonal
-    to V, so the slice volume at z equals the one at w.  If that horizontal
-    complement W has dimension 1 or 2 and the nested batch is small, the
-    search runs deterministically on nested quadrature over the ball
-    |w| <= rho_1 of W (`method == "nested_quadrature"`; n_starts, n_mc and
-    seed are then unused).  Every other V takes the Monte Carlo search.
+    The route is chosen from V's layer signature:
+
+    - an ideal V (it holds every layer above the first) has its maximum at
+      the origin.  A center factors as z = w * v with v in V and w in
+      W = V^perp in H_1; for fixed v_1 the higher layers of w^-1 * v are a
+      unit-Jacobian shear of those of v, and |(w^-1 * v)_1| =
+      sqrt(|v_1|^2 + |w|^2), so by the monotone profile the slice volume
+      does not increase with |w|.  beta is the nested quadrature at the
+      origin (`method == "nested_quadrature"`), or, when the 2 * GL_NODES
+      batch of its error bar exceeds MAX_QUAD_ROWS, the origin Monte Carlo
+      estimate at 10 * n_mc samples on stream seed + 1 (`"mc"`);
+    - a horizontal V of dimension k lies in H_1, the first layer of
+      z^-1 * v is v - z_1, and its other layers only raise the profile, so
+      every slice fits in a V-translate of the origin slice, the k-ball of
+      radius rho_1: beta = omega_k * rho_1^k (`"closed_form"`);
+    - every other V takes the multi-start Monte Carlo search of `_mc_factor`.
+
+    On the first two routes the argmax is the origin and the center gap is
+    0 by the argument above, not by measurement; n_starts is unused, and
+    so are n_mc and seed except on the origin Monte Carlo estimate.
     """
     g = d.group
     if not 1 <= V.n <= g.q - 1:
         raise ConfigurationError("spherical factor needs 1 <= dim V <= q - 1")
-    W = _quadrature_complement(V)
-    if W is not None:
-        return _quadrature_factor(d, V, W, seed)
+    sig = V.signature
+    if sig[1:] == g.layer_dims[1:]:
+        if (2 * GL_NODES) ** sum(sig[:-1]) > MAX_QUAD_ROWS:
+            est = slice_volume_mc(d, V, g.zero(), n=10 * n_mc, seed=seed + 1)
+            return _origin_report(g, est.value, est.std_error, n_mc, seed, "mc")
+        beta = slice_volume_nested(d, V).value
+        bar = abs(beta - slice_volume_nested(d, V, n_nodes=2 * GL_NODES).value)
+        return _origin_report(g, beta, bar + beta * _rho_floor(d, V), 0, seed,
+                              "nested_quadrature")
+    if not any(sig[1:]):
+        beta = unit_ball_volume(V.n) * d.profile.rho_i(1, []) ** V.n
+        return _origin_report(g, beta, beta * _rho_floor(d, V), 0, seed, "closed_form")
     return _mc_factor(d, V, n_starts, n_mc, seed)
 
 
-def _quadrature_complement(V: HomSubspace):
-    """Orthonormal basis of W = V^perp in H_1 if the quadrature search applies.
-
-    It applies when V's signature is (n_1, d_2, ..., d_iota), 1 <= dim W <= 2,
-    and the nested batch of the 2 * GL_NODES error bar stays within
-    MAX_QUAD_ROWS rows; otherwise None.
-    """
-    g = V.group
-    sig = V.signature
-    m = g.layer_dims[0] - sig[0]
-    if (sig[1:] != g.layer_dims[1:] or not 1 <= m <= 2
-            or (2 * GL_NODES) ** sum(sig[:-1]) > MAX_QUAD_ROWS):
-        return None
-    B1 = V.layer_bases[0]
-    u, _, _ = np.linalg.svd(np.eye(g.layer_dims[0]) - B1 @ B1.T)
-    return u[:, :m]
-
-
-def _quadrature_factor(d: DistanceSpec, V: HomSubspace, W, seed):
-    """Grid plus Nelder-Mead on nested quadrature over the ball |w| <= rho_1 in W.
-
-    The error bar adds the n against 2n node gap at the argmax, the
-    bisection tolerance of the rho radii relative to rho_j(0), and the
-    spread of the final simplex when the Nelder-Mead point wins.
-    """
-    from scipy.optimize import minimize
-
-    g = d.group
+def _rho_floor(d: DistanceSpec, V: HomSubspace):
+    """Relative error of an origin slice volume from the rho bisection tolerance."""
     prof = d.profile
-    m = W.shape[1]
-    rho1 = prof.rho_i(1, [])
-    rho_floor = sum(nj * RHO_ATOL / prof.rho_i(j, np.zeros(j - 1))
-                    for j, nj in enumerate(V.signature, start=1) if nj)
+    return sum(nj * RHO_ATOL / prof.rho_i(j, np.zeros(j - 1))
+               for j, nj in enumerate(V.signature, start=1) if nj)
 
-    def center(c):
-        z = g.zero()
-        z[:g.layer_dims[0]] = W @ c
-        return z
 
-    def clip(c):
-        r = np.linalg.norm(c)
-        return c * (rho1 / r) if r > rho1 else c
-
-    def volume(c, n_nodes=GL_NODES):
-        return slice_volume_nested(d, V, center(c), n_nodes=n_nodes).value
-
-    def bar(c, value):
-        return abs(value - volume(c, 2 * GL_NODES)) + value * rho_floor
-
-    k = 10 if m == 1 else 5
-    axis = rho1 * np.arange(-k, k + 1) / k
-    grid = np.stack(np.meshgrid(*[axis] * m, indexing="ij"), axis=-1).reshape(-1, m)
-    grid = grid[np.linalg.norm(grid, axis=1) <= rho1]
-    values = [volume(c) for c in grid]
-    c_grid = grid[int(np.argmax(values))]
-    res = minimize(lambda c: -volume(clip(c)), c_grid, method="Nelder-Mead",
-                   options=dict(maxiter=NM_MAXITER, xatol=1e-6 * rho1, fatol=1e-12,
-                                initial_simplex=np.vstack(
-                                    [c_grid, c_grid + (rho1 / k) * np.eye(m)])))
-
-    origin = np.zeros(m)
-    q0 = volume(origin)
-    centers = [origin, c_grid, clip(res.x)]
-    scores = [q0, max(values), float(-res.fun)]
-    i_best = int(np.argmax(scores))
-    beta, best = scores[i_best], centers[i_best]
-    origin_error = bar(origin, q0)
-    beta_error = origin_error if i_best == 0 else bar(best, beta)
-    if i_best == 2:
-        beta_error += float(np.ptp(res.final_simplex[1]))
-    best_z = center(best)
-    return FactorReport(beta=beta, beta_error=beta_error, argmax_center=best_z,
-                        center_gap=beta - q0,
-                        gap_error=float(np.hypot(beta_error, origin_error)),
-                        n_starts=0, n_mc=0, seed=seed,
-                        boundary_argmax=bool(d.norm(best_z) > 1.0 - 1e-6),
-                        method="nested_quadrature")
+def _origin_report(g: GradedGroup, beta, beta_error, n_mc, seed, method):
+    return FactorReport(beta=beta, beta_error=beta_error, argmax_center=g.zero(),
+                        center_gap=0.0, gap_error=0.0, n_starts=0, n_mc=n_mc,
+                        seed=seed, boundary_argmax=False, method=method)
 
 
 def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed):

@@ -80,16 +80,21 @@ class TestBeta:
             "group": "abelian:3", "distance": {"family": "euclidean"}})
         assert run(["beta", "--config", cfg]) == 3
 
-    def test_quadrature_csv_depends_on_seed_column_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subspace, method", [
+        ("vertical_plane_x0", "nested_quadrature"),
+        ("horizontal_x_axis", "closed_form"),
+    ], ids=["vertical_plane_x0", "horizontal_x_axis"])
+    def test_quadrature_csv_depends_on_seed_column_only(self, tmp_path, capsys, subspace,
+                                                        method):
         cfg = write_cfg(tmp_path, "b.json", {
             "group": "heisenberg1", "distance": {"family": "koranyi"},
-            "subspace": "vertical_plane_x0"})
+            "subspace": subspace})
         rows = []
         for seed in ("1", "2"):
             out_csv = tmp_path / f"beta{seed}.csv"
             assert run(["beta", "--config", cfg, "--seed", seed,
                         "--out", str(out_csv)]) == 0
-            assert "method: nested_quadrature" in capsys.readouterr().out
+            assert f"method: {method}" in capsys.readouterr().out
             head, row = out_csv.read_text().splitlines()
             rows.append(dict(zip(head.split(","), row.split(","))))
         assert rows[0]["seed"] == "1" and rows[1]["seed"] == "2"

@@ -1,14 +1,18 @@
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from carnot.algebra import (ConfigurationError, GradedGroup, preset_group,
                             structure_constants_from_sparse)
-from carnot.factor import (MAX_QUAD_ROWS, _gl_sin_rule, convex_normal_check, random_subspace,
-                           rotational_sweep, slice_volume_mc,
+from carnot.factor import (MAX_QUAD_ROWS, _gl_sin_rule, _mc_factor, convex_normal_check,
+                           random_subspace, rotational_sweep, slice_volume_mc,
                            slice_volume_nested, spherical_factor,
                            unit_ball_volume)
 from carnot.metrics import dinf, euclidean, hebisch_sikora, koranyi
@@ -135,17 +139,24 @@ class TestQuadraturePath:
             rep = spherical_factor(distance(heis, param), vertical)
             assert (repr(rep.beta), repr(rep.beta_error)) == (repr(beta), repr(beta_error))
 
-    @pytest.mark.parametrize("group, distance, span, truth", [
-        ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]], 1.0),
-        ("abelian:3", euclidean, [[1, 0, 0], [0, 1, 0]], np.pi),
-        ("engel", hebisch_sikora, np.eye(4)[1:], np.pi / 6),
-        ("heisenberg1", koranyi, [[0, 0, 1]], 0.5),  # W = H_1: a 2-D search
+    @pytest.mark.parametrize("group, distance, span, truth, method", [
+        ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]], 1.0, "nested_quadrature"),
+        ("abelian:3", euclidean, [[1, 0, 0], [0, 1, 0]], np.pi, "nested_quadrature"),
+        ("engel", hebisch_sikora, np.eye(4)[1:], np.pi / 6, "nested_quadrature"),
+        ("heisenberg1", koranyi, [[0, 0, 1]], 0.5, "nested_quadrature"),  # W = H_1
+        # horizontal V: omega_k * rho_1^k, with rho_1 = 1, 1, 0.5
+        ("heisenberg1", dinf, [[1, 0, 0]], 2.0, "closed_form"),
+        ("heisenberg1", koranyi, [[1, 0, 0]], 2.0, "closed_form"),
+        ("heisenberg1", hebisch_sikora, [[1, 0, 0]], 1.0, "closed_form"),
+        ("heisenberg1", koranyi, [[1, 0, 0], [0, 1, 0]], np.pi, "closed_form"),
+        ("engel", hebisch_sikora, [[1, 0, 0, 0]], 1.0, "closed_form"),
     ], ids=["dinf-vertical", "euclidean-plane", "hebisch_sikora-engel",
-            "koranyi-center"])
-    def test_closed_forms(self, group, distance, span, truth):
+            "koranyi-center", "dinf-x-axis", "koranyi-x-axis", "hebisch_sikora-x-axis",
+            "koranyi-h1-plane", "hebisch_sikora-engel-e1"])
+    def test_closed_forms(self, group, distance, span, truth, method):
         g = preset_group(group)
         rep = spherical_factor(distance(g), subspace_from_vectors(g, span))
-        assert rep.method == "nested_quadrature"
+        assert rep.method == method
         assert 0.0 < rep.beta_error < 1e-6
         assert abs(rep.beta - truth) <= 3 * rep.beta_error
         assert abs(rep.center_gap) <= 3 * rep.gap_error
@@ -154,7 +165,14 @@ class TestQuadraturePath:
         ("heisenberg1", koranyi, [[0, 0, 1]]),
         ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]]),
         ("engel", hebisch_sikora, np.eye(4)[1:]),
-    ], ids=["koranyi-center", "dinf-vertical", "hebisch_sikora-engel"])
+        ("heisenberg1", dinf, [[1, 0, 0]]),
+        ("heisenberg1", koranyi, [[1, 0, 0]]),
+        ("heisenberg1", hebisch_sikora, [[1, 0, 0]]),
+        ("heisenberg1", koranyi, [[1, 0, 0], [0, 1, 0]]),
+        ("engel", hebisch_sikora, [[1, 0, 0, 0]]),
+    ], ids=["koranyi-center", "dinf-vertical", "hebisch_sikora-engel", "dinf-x-axis",
+            "koranyi-x-axis", "hebisch_sikora-x-axis", "koranyi-h1-plane",
+            "hebisch_sikora-engel-e1"])
     def test_matches_mc_at_argmax(self, group, distance, span):
         g = preset_group(group)
         d, V = distance(g), subspace_from_vectors(g, span)
@@ -197,17 +215,109 @@ class TestQuadratureBudget:
 
 class TestMonteCarloFallback:
     def test_horizontal_axis_keeps_mc_path(self, heis):
-        # V = span{e1} misses the centre, so no reduction applies
+        # the x axis now takes the closed form; the Monte Carlo search that
+        # mixed V still take is pinned on it, bit for bit
         V = subspace_from_dict(heis, "horizontal_x_axis")
-        rep = spherical_factor(dinf(heis), V, n_starts=2, n_mc=20000, seed=0)
+        rep = _mc_factor(dinf(heis), V, 2, 20000, 0)
         assert rep.method == "mc"
         assert abs(rep.beta - 2.0) <= 3 * rep.beta_error
-        # the Monte Carlo search is unchanged, bit for bit
         assert (rep.beta, rep.beta_error) == (2.00018, 0.004472135936887429)
         assert (rep.center_gap, rep.gap_error) == (0.0031199999999997896,
                                                    0.0063245518908457065)
         assert rep.argmax_center.tolist() == [0.30561386533970214, 0.012530826440225724,
                                               0.1362425199729119]
+
+
+class TestOriginRoutes:
+    """Ideal and horizontal V: beta at the origin, with no search."""
+
+    def test_ideal_with_wide_complement_takes_quadrature(self):
+        # free step-2 group of rank 4; V = span{e1} + H_2 has dim W = 3, and
+        # its slice under dinf(c=1) is a segment times a 6-ball: 2 * omega_6
+        pairs = combinations(range(1, 5), 2)
+        g = GradedGroup(structure_constants_from_sparse(
+            2, (4, 6), [[5 + n, i, j, 1.0] for n, (i, j) in enumerate(pairs)]))
+        d = dinf(g, c=1.0)
+        V = subspace_from_vectors(g, np.eye(10)[[0, 4, 5, 6, 7, 8, 9]])
+        assert V.signature == (1, 6)
+        rep = spherical_factor(d, V)
+        assert rep.method == "nested_quadrature"
+        assert abs(rep.beta - 2.0 * unit_ball_volume(6)) <= 3 * rep.beta_error
+
+    def test_ideal_over_row_budget_takes_origin_mc(self):
+        # the (1, 1, 1, 1, 1) hyperplane of filiform would need 64^4 rows; its
+        # slice is the 5-ball of radius 1/2, pi^2 / 60
+        g = GradedGroup(structure_constants_from_sparse(
+            5, (2, 1, 1, 1, 1), [[3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]))
+        V = subspace_from_vectors(g, np.eye(6)[1:])
+        rep = spherical_factor(hebisch_sikora(g, 0.5, validate=False), V, n_mc=20000)
+        assert rep.method == "mc"
+        assert (rep.n_starts, rep.center_gap, rep.gap_error) == (0, 0.0, 0.0)
+        assert abs(rep.beta - np.pi ** 2 / 60) <= 3 * rep.beta_error
+
+    def test_search_code_never_imported(self):
+        code = ("import sys\n"
+                "from carnot.algebra import preset_group\n"
+                "from carnot.factor import spherical_factor\n"
+                "from carnot.metrics import koranyi\n"
+                "from carnot.subgroups import subspace_from_dict\n"
+                "g = preset_group('heisenberg1')\n"
+                "for name in ('vertical_plane_x0', 'horizontal_x_axis'):\n"
+                "    spherical_factor(koranyi(g), subspace_from_dict(g, name))\n"
+                "assert 'scipy.optimize' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True)
+
+
+class TestOriginMaximality:
+    """The symmetry that the origin routes rest on, probed off the origin."""
+
+    @pytest.mark.parametrize("group, distance, span", [
+        ("heisenberg1", dinf, [[0, 1, 0], [0, 0, 1]]),
+        ("heisenberg1", koranyi, [[0, 1, 0], [0, 0, 1]]),
+        ("heisenberg1", hebisch_sikora, [[0, 1, 0], [0, 0, 1]]),
+        ("engel", hebisch_sikora, np.eye(4)[1:]),
+    ], ids=["heisenberg1-dinf", "heisenberg1-koranyi", "heisenberg1-hebisch_sikora",
+            "engel-hebisch_sikora"])
+    def test_ideal_slice_is_largest_at_origin(self, group, distance, span):
+        # for these V the complement W in H_1 is span{e1}; centers w in W
+        # leave the unit ball beyond |w| = rho_1
+        g = preset_group(group)
+        d, V = distance(g), subspace_from_vectors(g, span)
+        rep = spherical_factor(d, V)
+        rho1 = d.profile.rho_i(1, [])
+
+        @settings(max_examples=20, derandomize=True, deadline=None)
+        @given(st.floats(-1.0, 1.0))
+        def check(u):
+            w = g.zero()
+            w[0] = u * rho1
+            assert slice_volume_nested(d, V, w).value <= rep.beta + rep.beta_error
+
+        check()
+
+    @pytest.mark.parametrize("distance", [dinf, koranyi, hebisch_sikora],
+                             ids=["dinf", "koranyi", "hebisch_sikora"])
+    def test_x_axis_chord_fits_origin_chord(self, heis, distance):
+        # every point s * e1 of B(z, 1) has |s - z_1| <= rho_1, so the chord
+        # is at most 2 * rho_1 wherever z is in the unit ball
+        d = distance(heis)
+        rep = spherical_factor(d, subspace_from_dict(heis, "horizontal_x_axis"))
+        s = np.linspace(-3.0, 3.0, 6001)
+        line = np.zeros((s.size, 3))
+        line[:, 0] = s
+
+        @settings(max_examples=30, derandomize=True, deadline=None)
+        @given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+        def check(u):
+            z = np.asarray(u)
+            nz = d.norm(z)
+            if nz > 1.0:
+                z = heis.dilate(1.0 / nz, z)
+            hit = s[d.ball_contains(z, 1.0, line)]
+            if hit.size:
+                assert 2.0 * np.abs(hit - z[0]).max() <= rep.beta + rep.beta_error
+
+        check()
 
 
 class TestRandomSubspace:

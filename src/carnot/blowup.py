@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import ConfigurationError, GradedGroup
-from .metrics import DistanceSpec, bisect
+from .algebra import CHUNK_COLUMNS, ConfigurationError, GradedGroup
+from .metrics import DistanceSpec, false_position
 from .subgroups import HomSubspace, subspace_from_vectors
 
 FD_STEP = 1e-6
@@ -171,66 +171,51 @@ def _midpoint_grid(box, n):
     return U.ravel(), V.ravel(), (u1 - u0) * (v1 - v0) / (n * n)
 
 
-def _cross_hits(patch, d, center, r, axis, value, span, n=2048):
-    """Whether the ball meets the patch on the line {axis coordinate = value}."""
-    tt = np.linspace(span[0], span[1], n)
-    cc = np.full(n, value)
-    pts = patch.points(cc, tt) if axis == 0 else patch.points(tt, cc)
-    return bool(np.any(d.ball_contains(center, r, pts)))
-
-
-def _hit_cell_bounds(patch, d, center, r, box, n):
-    """Bounding box of ball-membership hits of an n x n grid on `box`, or None."""
-    U, V, _ = _midpoint_grid(box, n)
-    inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
-    if not np.any(inside):
-        return None
-    iu = np.nonzero(np.any(inside, axis=1))[0]
-    iv = np.nonzero(np.any(inside, axis=0))[0]
-    uu, vv = U[::n], V[:n]  # the grid's u and v axes
-    return (uu[iu[0]], uu[iu[-1]]), (vv[iv[0]], vv[iv[-1]])
-
-
 def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                         guess=None):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
     A 512 x 512 hit grid on `guess` clipped to the domain, or on the domain
-    when there is no guess, locates the preimage.  Each edge then moves to
-    the boundary of the hit region by bisection, on probe lines that span
-    the other axis's hit extent widened by one grid cell.  The guess must
-    contain the preimage: one that misses the ball, or whose interior edge
-    still meets it, gives way to the domain search.  Returns (box,
-    touches_domain_boundary), or (None, False) when the ball misses the
-    patch.  The domain grid can overlook regions much thinner than a cell.
+    when there is no guess, locates the preimage.  One false-position solve
+    then moves its four edges out to the ball, on the gauge min phi - 1 of
+    2048-point probe lines (a NaN phi is outside), keeping the outside end
+    of each bracket.  The guess must contain the preimage: one that misses
+    the ball, or whose interior edge still meets it, gives way to the
+    domain search.  Returns (box, touches_domain_boundary), or (None, False)
+    when the ball misses the patch.  The domain grid can overlook regions
+    much thinner than a cell.
     """
     n = 512
     dom = patch.domain
     box = dom if guess is None else tuple(
         (max(float(lo), dlo), min(float(hi), dhi)) for (lo, hi), (dlo, dhi) in zip(guess, dom))
-    hits = _hit_cell_bounds(patch, d, center, r, box, n)
-    if hits is None:
+    U, V, _ = _midpoint_grid(box, n)
+    inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
+    if not np.any(inside):
         return (None, False) if guess is None else _param_bounding_box(patch, d, center, r)
-    touches = False
-    out = []
-    for axis in (0, 1):
-        (b0, b1), (h0, h1) = box[1 - axis], hits[1 - axis]
-        cell = (b1 - b0) / n
-        span = (max(b0, h0 - cell), min(b1, h1 + cell))
-        scale = max(1.0, abs(box[axis][0]) + abs(box[axis][1]))
-        cross = lambda x: _cross_hits(patch, d, center, r, axis, x, span)
-        side = []
-        for edge, hit, dom_edge in zip(box[axis], hits[axis], dom[axis]):
-            if not cross(edge):
-                edge = float(bisect(lambda x: not cross(x), edge, hit,
-                                    lambda lo, hi: abs(hi - lo) < 1e-12 * scale, 50)[0])
-            elif edge == dom_edge:
-                touches = True
-            else:  # the guess cuts the preimage
-                return _param_bounding_box(patch, d, center, r)
-            side.append(edge)
-        out.append(tuple(side))
-    return tuple(out), touches
+    # the hit extents (u0, u1, v0, v1) on the grid's axes U[::n] and V[:n],
+    # and in the same lanes probe lines across the other axis's hit extent
+    # widened by one grid cell
+    iu, iv = (np.flatnonzero(np.any(inside, axis=a)) for a in (1, 0))
+    hit = np.concatenate([U[::n][iu[[0, -1]]], V[:n][iv[[0, -1]]]])
+    lines = [np.linspace(max(b0, h0 - (b1 - b0) / n), min(b1, h1 + (b1 - b0) / n), 2048)
+             for (b0, b1), (h0, h1) in zip(box, hit.reshape(2, 2))]
+    probe = np.repeat(lines[::-1], 2, axis=0)
+    along_v = (np.arange(4) < 2)[:, None]  # the u edges probe along v
+
+    def gauge(x):
+        U, V = np.where(along_v, x[:, None], probe), np.where(along_v, probe, x[:, None])
+        phi = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(4, -1)
+        return np.nan_to_num(phi, nan=np.inf).min(axis=1) - 1.0
+
+    edges, dom_edges = np.ravel(box), np.ravel(dom)
+    g_edge = gauge(edges)
+    meets = ~(g_edge > 0.0)
+    if np.any(meets & (edges != dom_edges)):  # the guess cuts the preimage
+        return _param_bounding_box(patch, d, center, r)
+    tol = 1e-12 * np.repeat([max(1.0, abs(lo) + abs(hi)) for lo, hi in box], 2)
+    out, _ = false_position(gauge, edges, np.where(meets, edges, hit), tol, 50, g_lo=g_edge)
+    return (tuple(out[:2].tolist()), tuple(out[2:].tolist())), bool(np.any(meets))
 
 
 def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
@@ -349,37 +334,37 @@ class LevelSetSpec:
 def _graph_points(f: LevelSetSpec, U, V, s_window=8.0):
     """Solve f(Phi(w)) = 0 along the V-cosets of w = (0, u, v), batched.
 
-    Phi(w) = w * (s, 0, 0) = (s, u, v - u s / 2); bisection needs a sign
+    Phi(w) = w * (s, 0, 0) = (s, u, v - u s / 2); false position on
+    sign(f(-s_window)) f, in blocks of CHUNK_COLUMNS rows, needs a sign
     change of f in |s| <= s_window, otherwise the offending cell is named.
     """
 
-    def pts(s):
+    def pts(s, U=U, V=V):
         return np.stack([s, U, V - 0.5 * U * s], axis=-1)
 
-    lo = np.full(U.shape, -s_window)
-    hi = np.full(U.shape, s_window)
-    sign_lo = np.sign(f.value(pts(lo)))
-    bad = sign_lo == np.sign(f.value(pts(hi)))
+    f_lo, f_hi = (f.value(pts(np.full(U.shape, s))) for s in (-s_window, s_window))
+    sign = np.sign(f_lo)
+    bad = sign == np.sign(f_hi)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise ValueError(
             f"level set leaves the coset window |s|<={s_window} at "
             f"(u, v) = ({U.ravel()[i]:.6g}, {V.ravel()[i]:.6g})")
-    _, _, s = bisect(lambda s: np.sign(f.value(pts(s))) == sign_lo, lo, hi,
-                     lambda lo, hi: np.max(hi - lo) < 1e-13 * s_window, 80)
+    s = np.empty(U.shape)
+    for b in range(0, len(U), CHUNK_COLUMNS):
+        k = slice(b, b + CHUNK_COLUMNS)
+        lo, hi = false_position(lambda s: sign[k] * f.value(pts(s, U[k], V[k])), -s_window,
+                                s_window, 1e-13 * s_window, 80, sign[k] * f_lo[k],
+                                sign[k] * f_hi[k])
+        s[k] = 0.5 * (lo + hi)
     return s, pts(s)
 
 
 def levelset_patch(f: LevelSetSpec, region) -> SurfacePatch:
     """SurfacePatch over W-coordinates (u, v) solving the level set on demand."""
     (u0, u1), (v0, v1) = region
-
-    def fn(U, V):
-        U = np.asarray(U, dtype=float)
-        _, p = _graph_points(f, U, np.asarray(V, dtype=float))
-        return p
-
-    return SurfacePatch(group=f.group, fn=fn, domain=((u0, u1), (v0, v1)))
+    return SurfacePatch(group=f.group, fn=lambda U, V: _graph_points(f, U, V)[1],
+                        domain=((u0, u1), (v0, v1)))
 
 
 def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,

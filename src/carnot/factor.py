@@ -171,13 +171,19 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
     BCH-shifted images of z; the innermost layer uses the closed form
     omega_m * (rho^2 - dist^2)^(m/2) for an affine slice of a ball.  The
     layers below the top expand a batch of n_nodes^(n_1 + ... + n_{iota-1})
-    rows, refused above MAX_QUAD_ROWS before anything is computed.
+    rows, refused above MAX_QUAD_ROWS before anything is computed.  A V
+    with no top-layer direction is refused too: its last layer would be a
+    0/1 indicator, off by up to about 10 % away from the origin.
     """
     k = sum(V.signature[:-1])
     if n_nodes ** k > MAX_QUAD_ROWS:
         raise ConfigurationError(
             f"nested quadrature needs {n_nodes}^{k} rows > {MAX_QUAD_ROWS}, "
             "use slice_volume_mc")
+    if not V.signature[-1]:
+        raise ConfigurationError(f"nested quadrature needs a top-layer direction, V has signature "
+                                 f"{V.signature}: use slice_volume_mc or, for a horizontal V, "
+                                 "spherical_factor's closed form")
     g = d.group
     prof = d.profile
     z = g.zero() if z is None else np.asarray(z, dtype=float)
@@ -227,7 +233,7 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
         keep = wts > 0.0
         pts, wts = pts[keep], wts[keep]
 
-    vals = unit_ball_volume(nj) * r_eff ** nj if nj else (r_sq >= 0.0).astype(float)
+    vals = unit_ball_volume(nj) * r_eff ** nj
     return VolumeEstimate(value=float(np.dot(wts, vals)), std_error=0.0,
                           n_samples=0, method="nested_quadrature")
 

@@ -66,6 +66,41 @@ def bisect(lower, lo, hi, done, max_iter, grow=0):
     return lo, hi, 0.5 * (lo + hi)
 
 
+def false_position(g, lo, hi, tol, max_iter, g_lo=None, g_hi=None):
+    """Vectorized root search of g in brackets with g(lo) > 0 >= g(hi).
+
+    Illinois false position (Dowell & Jarratt, BIT 11, 1971): the secant
+    point, an end kept twice running having its value halved, or the
+    midpoint where that is not finite.  It keeps tol / 4 off both ends and
+    within (T - w) / 4 of the midpoint, w the width and T four times the
+    first width halved each step: at most two steps more than bisection.  A
+    NaN value counts as <= 0; a zero closes its lane, at an end too.  `g_lo`
+    and `g_hi` are g at the ends when known.  Returns (lo, hi) once each lane
+    is narrower than its tol, or after `max_iter` steps.
+    """
+    fa, fb = (np.array(g(x) if v is None else v, dtype=float) for x, v in ((lo, g_lo), (hi, g_hi)))
+    hi = np.where(fa == 0.0, lo, hi)
+    lo = np.where(fb == 0.0, hi, lo)
+    budget, last = 4.0 * np.abs(hi - lo), np.zeros(lo.shape)  # last: +1 moved lo, -1 hi
+    for _ in range(max_iter):
+        w = np.abs(hi - lo)
+        live = w >= tol
+        if not np.any(live):
+            break
+        mid, r, budget = 0.5 * (lo + hi), 0.25 * (budget - w), 0.5 * budget
+        with np.errstate(all="ignore"):
+            x = np.clip(lo + fa / (fa - fb) * (hi - lo),
+                        np.minimum(lo, hi) + 0.25 * tol, np.maximum(lo, hi) - 0.25 * tol)
+        x = np.clip(np.where(np.isfinite(x), x, mid), mid - r, mid + r)
+        gx = g(x)
+        up, down = live & (gx > 0.0), live & ~(gx > 0.0)
+        fa = np.where(up, gx, np.where(down & (last < 0), 0.5 * fa, fa))
+        fb = np.where(down, gx, np.where(up & (last > 0), 0.5 * fb, fb))
+        lo, hi = np.where(up | down & (gx == 0.0), x, lo), np.where(down, x, hi)
+        last = np.where(live, np.where(up, 1.0, -1.0), last)
+    return lo, hi
+
+
 @dataclass
 class MultiradialProfile:
     """Monotone coercive profile phi: [0, inf)^iota -> [0, inf)."""
@@ -219,8 +254,8 @@ class DistanceSpec:
         return self.norm(g.multiply(g.inverse(np.asarray(x, dtype=float)),
                                     np.asarray(y, dtype=float)))
 
-    def ball_contains(self, center, r, x):
-        """Closed-ball membership of x in B(center, r); batched over x."""
+    def ball_gauge(self, center, r, x):
+        """phi of the layer norms of center^-1 * x dilated by 1/r; batched over x."""
         if not 0.0 < r < np.inf:
             raise ValueError(f"radius must be positive and finite, got {r}")
         g = self.group
@@ -228,8 +263,12 @@ class DistanceSpec:
         u = np.atleast_2d(g.multiply(g.inverse(np.asarray(center, dtype=float))[None, :], x2))
         a = np.atleast_2d(g.layer_norms(u))
         weights = np.arange(1, g.step + 1, dtype=float)
-        out = self.profile(a / r ** weights) <= 1.0
-        return bool(out[0]) if np.asarray(x).ndim == 1 else out
+        out = self.profile(a / r ** weights)
+        return float(out[0]) if np.asarray(x).ndim == 1 else out
+
+    def ball_contains(self, center, r, x):
+        """Closed-ball membership of x in B(center, r), ball_gauge <= 1 (NaN is outside)."""
+        return self.ball_gauge(center, r, x) <= 1.0
 
 
 # -- axiom sampler ---------------------------------------------------------

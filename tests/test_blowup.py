@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from carnot.algebra import ConfigurationError, preset_group
-from carnot.blowup import (LevelSetSpec, SurfacePatch, blowup_check,
-                           density_curve, frame_components,
-                           graph_area_levelset, homogeneous_tangent,
+from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, preset_group
+from carnot.blowup import (LevelSetSpec, SurfacePatch, _graph_points,
+                           _param_bounding_box, blowup_check, density_curve,
+                           frame_components, graph_area_levelset, homogeneous_tangent,
                            levelset_patch, mu_measure, surface_measure_total,
                            tangent_bivector_components)
-from carnot.metrics import dinf, koranyi
+from carnot.config import ExperimentConfig
+from carnot.metrics import DistanceSpec, dinf, hebisch_sikora, koranyi
 
 
 @pytest.fixture(scope="module")
@@ -220,3 +221,107 @@ class TestGraphArea:
         f = LevelSetSpec(group=g, fn=lambda p: p[:, 0] - 20.0)
         with pytest.raises(ValueError, match="coset window"):
             graph_area_levelset(f, self.unit_region(), dinf(g), n_grid=8)
+
+
+class TestSolverCounts:
+    """The false-position searches take a few batched evaluations each."""
+
+    def test_graph_points_linear_coset(self, g):
+        # x - y^2 is linear along each coset, so a secant step lands on the root
+        calls = []
+
+        def f(p):
+            calls.append(len(p))
+            return p[:, 0] - p[:, 1] ** 2
+
+        U, V = np.meshgrid(np.linspace(0.0, 1.0, 64), np.linspace(0.0, 1.0, 64))
+        s, pts = _graph_points(LevelSetSpec(group=g, fn=f), U.ravel(), V.ravel())
+        # the two window ends, then at most two steps per block of rows
+        assert calls[:2] == [64 * 64] * 2 and set(calls[2:]) == {CHUNK_COLUMNS}
+        assert len(calls) - 2 <= 2 * (64 * 64 // CHUNK_COLUMNS)
+        np.testing.assert_allclose(s, U.ravel() ** 2, atol=1e-12)
+
+    def test_density_curve_gauge_calls(self, g, monkeypatch):
+        sizes, gauge = [], DistanceSpec.ball_gauge
+
+        def counted(self, center, r, x):
+            sizes.append(len(x))
+            return gauge(self, center, r, x)
+
+        monkeypatch.setattr(DistanceSpec, "ball_gauge", counted)
+        density_curve(paraboloid(g), dinf(g), 0.0, 0.0, (0.4, 0.2, 0.1))
+        probes = [n for n in sizes if n != 512 * 512]
+        # two 512^2 grids per radius, the rest 4 x 2048 locator probes
+        assert len(sizes) - len(probes) == 6
+        assert set(probes) == {4 * 2048} and len(probes) <= 40
+
+    def test_gauge_matches_membership(self, g):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-1.0, 1.0, (4000, 3))
+        pts[::7, rng.integers(0, 3)] = np.nan
+        center = np.array([0.2, -0.1, 0.3])
+        for d in (dinf(g), koranyi(g), hebisch_sikora(g)):
+            for r in (0.3, 1.0):
+                # membership as the profile test on the dilated layer norms
+                u = g.multiply(g.inverse(center)[None, :], pts)
+                ref = d.profile(g.layer_norms(u) / r ** np.array([1.0, 2.0])) <= 1.0
+                inside = d.ball_gauge(center, r, pts) <= 1.0
+                np.testing.assert_array_equal(inside, ref)
+                np.testing.assert_array_equal(d.ball_contains(center, r, pts), ref)
+                assert not inside[::7].any()
+                assert d.ball_contains(center, r, pts[1]) is bool(ref[1])
+
+    def test_nan_probes_count_as_outside(self, g):
+        # the plane's points are NaN beyond u = 0.2, so the u edge stops there
+        def fn(U, V):
+            p = np.stack([np.zeros_like(U), U, V], axis=-1)
+            return np.where((U > 0.2)[..., None], np.nan, p)
+
+        patch = SurfacePatch(group=g, fn=fn, domain=((-1.0, 1.0), (-1.0, 1.0)))
+        box, touches = _param_bounding_box(patch, dinf(g), g.zero(), 0.4)
+        assert box[0][0] == pytest.approx(-0.4, abs=1e-9)
+        assert box[0][1] == pytest.approx(0.2, abs=1e-9)
+        np.testing.assert_allclose(box[1], (-0.04, 0.04), atol=1e-9)
+        assert not touches
+
+
+# the README paraboloid curves of perfbench/configs/paraboloid_*.json, as
+# the bisection locators gave them before the false-position searches
+PARABOLOID = {
+    "dinf": ({"family": "dinf", "params": {"c": 2}}, [0, 0],
+             (1.00161584580473, 1.0004134064463825, 1.0001039607060749),
+             0.0002500919475996177),
+    "koranyi": ({"family": "koranyi", "params": {"gamma": 16}}, [0.3, 0.2],
+                (0.8749322914919954, 0.8743028311074815, 0.8741124274890545),
+                0.0001065656347121191),
+}
+
+
+class TestPinnedValues:
+    """The false-position searches move the published numbers by < 1e-9."""
+
+    @pytest.mark.parametrize("name", sorted(PARABOLOID))
+    def test_readme_paraboloid(self, name):
+        distance, point, ratios, uncertainty = PARABOLOID[name]
+        cfg = ExperimentConfig({
+            "group": "heisenberg1", "distance": distance,
+            "surface": {"kind": "param",
+                        "expr": {"x": "(u*u + v*v)/4", "y": "u", "t": "v"},
+                        "domain": [[-1, 1], [-1, 1]]}})
+        g = cfg.group()
+        curve = density_curve(cfg.surface(g), cfg.distance(g), *point, (0.4, 0.2, 0.1))
+        np.testing.assert_allclose(curve.ratios, ratios, rtol=1e-9, atol=0)
+        # twice a fit residual, a difference of ratios: pinned on their scale
+        assert curve.uncertainty == pytest.approx(uncertainty, abs=1e-9)
+
+    def test_graph_area(self, g):
+        # perfbench/configs/graph_area.json, as the bisection coset solve gave it
+        cfg = ExperimentConfig({
+            "group": "heisenberg1", "distance": {"family": "dinf", "params": {"c": 2}},
+            "surface": {"kind": "levelset", "expr": {"f": "x - y**2"},
+                        "domain": [[0, 1], [0, 1]]}})
+        f, region = cfg.surface(g)
+        area = graph_area_levelset(f, region, cfg.distance(g), n_grid=256)
+        route = surface_measure_total(levelset_patch(f, region), n_grid=256)
+        assert area == pytest.approx(1.4789417202288018, rel=1e-9, abs=0)
+        assert route == pytest.approx(1.4789417197316044, rel=1e-9, abs=0)

@@ -196,6 +196,14 @@ class TestQuadratureBudget:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_no_top_layer_direction_refused(self, heis):
+        # on the x axis the last layer would be a 0/1 indicator: at this z
+        # it gave 0.5181 (32 nodes) and 0.5775 (64 nodes) with std_error 0,
+        # against 0.5665 from a 6e5-point membership grid
+        V = subspace_from_dict(heis, "horizontal_x_axis")
+        with pytest.raises(ConfigurationError, match="top-layer direction.*slice_volume_mc"):
+            slice_volume_nested(dinf(heis, c=2.0), V, np.array([0.1, -0.4, 0.3]))
+
     def test_wide_top_layer_takes_quadrature(self):
         # free step-2 group of rank 4; V = span{e1, e2} + H_2 has a closed-form
         # top layer of dimension 6, and its slice under dinf(c=1) is a disc

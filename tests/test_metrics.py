@@ -5,7 +5,8 @@ from carnot import metrics, randomness
 from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, group_from_dict, preset_group
 from carnot.config import distance_from_dict
 from carnot.metrics import (NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect, check_axioms,
-                            dinf, euclidean, from_profile, hebisch_sikora, koranyi)
+                            dinf, euclidean, false_position, from_profile, hebisch_sikora,
+                            koranyi)
 
 # the filiform group of perfbench/configs/check_distance_filiform_hs.json
 FILIFORM5 = {"step": 5, "layer_dims": [2, 1, 1, 1, 1],
@@ -40,6 +41,86 @@ class TestBisect:
                            lambda lo, hi: np.max(hi - lo) < 1e-3, 500, grow=500)
         assert np.all(lo == 0.0) and np.all(hi == 2.0 ** -10)
         assert len(calls) == 1 + 10
+
+
+def counted(g):
+    """g with a list of its arguments, one entry per call."""
+    calls = []
+
+    def wrapped(x):
+        calls.append(x)
+        return g(x)
+
+    return wrapped, calls
+
+
+def bisect_calls(roots, tol):
+    """Halvings that bisect takes to close [0, 1] onto each root."""
+    lower, calls = counted(lambda x: x < roots)
+    bisect(lower, np.zeros(len(roots)), np.ones(len(roots)),
+           lambda lo, hi: np.max(hi - lo) < tol, 200)
+    return len(calls)
+
+
+class TestFalsePosition:
+    def test_bracket_contract(self):
+        # lanes with their own tol; the third brackets downward, g(1) > 0 >= g(-1)
+        roots = np.array([np.sqrt(2.0), np.log(3.0), 0.3])
+        g = lambda x: np.array([2.0 - x[0] ** 2, np.exp(-x[1]) - 1.0 / 3.0,
+                                (x[2] - 0.3) ** 3])
+        lo, hi = false_position(g, np.array([0.0, 0.0, 1.0]), np.array([3.0, 2.0, -1.0]),
+                                np.array([1e-13, 1e-9, 1e-12]), 100)
+        assert np.all(np.abs(hi - lo) < [1e-13, 1e-9, 1e-12])
+        assert np.all(g(lo) > 0.0) and np.all(g(hi) <= 0.0)
+        np.testing.assert_allclose(lo, roots, atol=1e-9)
+
+    def test_exact_zero_closes_the_lane(self):
+        # the first secant point of 0.5 - x on [0, 1] is the root itself
+        g, calls = counted(lambda x: 0.5 - x)
+        lo, hi = false_position(g, np.zeros(1), np.ones(1), 1e-12, 50)
+        assert (lo[0], hi[0]) == (0.5, 0.5)
+        assert len(calls) == 2 + 1
+        # a zero at an end closes the lane there, before any step
+        g, calls = counted(lambda x: 1.0 - x)
+        lo, hi = false_position(g, np.zeros(2), np.array([1.0, 2.0]), 1e-12, 50)
+        assert (lo[0], hi[0]) == (1.0, 1.0) and abs(hi[1] - lo[1]) < 1e-12
+        lo, hi = false_position(lambda x: 0.0 * x, np.zeros(1), np.ones(1), 1e-12, 50)
+        assert (lo[0], hi[0]) == (0.0, 0.0)
+
+    def test_linear_needs_three_steps(self):
+        rng = np.random.default_rng(5)
+        slope, root = rng.uniform(0.1, 5.0, 64), rng.uniform(-9.0, 9.0, 64)
+        lin = lambda x: slope * (root - x)
+        lo, hi = np.full(64, -10.0), np.full(64, 10.0)
+        g, calls = counted(lin)
+        lo, hi = false_position(g, lo, hi, 1e-12, 100, g_lo=lin(lo), g_hi=lin(hi))
+        assert len(calls) <= 3
+        assert np.all(np.abs(hi - lo) < 1e-12) and np.all(lo <= root) and np.all(root <= hi)
+
+    def test_step_function_within_two_of_bisection(self):
+        # a step carries no slope, so every secant point is a guess
+        roots = np.random.default_rng(6).uniform(0.0, 1.0, 64)
+        step = lambda x: np.where(x < roots, 1.0, -1.0)
+        g, calls = counted(step)
+        lo, hi = false_position(g, np.zeros(64), np.ones(64), 1e-12, 200,
+                                g_lo=np.ones(64), g_hi=-np.ones(64))
+        assert np.all(np.abs(hi - lo) < 1e-12) and np.all(lo < roots) and np.all(roots <= hi)
+        assert len(calls) <= bisect_calls(roots, 1e-12) + 2
+
+    def test_max_iter_caps_the_loop(self):
+        g, calls = counted(lambda x: 2.0 - x ** 2)
+        lo, hi = false_position(g, np.zeros(1), np.full(1, 3.0), 1e-15, 3,
+                                g_lo=np.full(1, 2.0), g_hi=np.full(1, -7.0))
+        assert len(calls) == 3
+        assert hi[0] - lo[0] > 1e-15 and lo[0] < np.sqrt(2.0) < hi[0]
+
+    def test_nan_and_infinite_values(self):
+        # NaN counts as <= 0, the side a failed comparison gives; an infinite
+        # value, as a NaN gauge mapped outside gives, falls back to midpoints
+        c = np.array([0.3, 0.7])
+        g = lambda x: np.where(x < c, [1.0, np.inf], [np.nan, -1.0])
+        lo, hi = false_position(g, np.zeros(2), np.ones(2), 1e-12, 100)
+        assert np.all(np.abs(hi - lo) < 1e-12) and np.all(lo < c) and np.all(c <= hi)
 
 
 class TestProfiles:

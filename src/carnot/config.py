@@ -20,8 +20,8 @@ import numpy as np
 from .algebra import (ConfigurationError, GradedGroup, checked_int, checked_reals,
                       group_from_dict)
 from .blowup import LevelSetSpec, SurfacePatch
-from .metrics import (PROFILE_HINT, DistanceSpec, _build, dinf, euclidean,
-                      hebisch_sikora, koranyi)
+from . import metrics
+from .metrics import PROFILE_HINT, DistanceSpec, _build
 from .subgroups import HomSubspace, subspace_from_dict
 
 _BINOPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
@@ -102,9 +102,8 @@ def _require_keys(d, allowed, required=(), where="config"):
         raise ConfigurationError(f"missing {where} keys: {sorted(missing)}")
 
 
-# family -> (constructor, name of its one parameter)
-_FAMILIES = {"dinf": (dinf, "c"), "koranyi": (koranyi, "gamma"),
-             "hebisch_sikora": (hebisch_sikora, "eps")}
+# family -> its one parameter; the constructor is looked up in metrics per call
+_FAMILIES = {"dinf": "c", "koranyi": "gamma", "hebisch_sikora": "eps"}
 
 
 def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceSpec:
@@ -120,12 +119,11 @@ def distance_from_dict(g: GradedGroup, spec, validate: bool = True) -> DistanceS
     family = spec["family"]
     params = spec.get("params", {})
     if isinstance(family, str) and family in _FAMILIES:
-        build, param = _FAMILIES[family]
-        _require_keys(params, {param}, where=f"{family} params")
-        return build(g, validate=validate, **params)
+        _require_keys(params, {_FAMILIES[family]}, where=f"{family} params")
+        return getattr(metrics, family)(g, validate=validate, **params)
     if family == "euclidean":
         _require_keys(params, set(), where="euclidean params")
-        return euclidean(g)
+        return metrics.euclidean(g)
     if family == "profile":
         _require_keys(params, {"expr"}, {"expr"}, "profile params")
         names = tuple(f"t{j}" for j in range(1, g.step + 1))

@@ -7,11 +7,10 @@ oracles are provided: hit-or-miss Monte Carlo, which only queries ball
 membership, and a nested Gauss-Legendre quadrature of the layerwise Fubini
 reduction, which uses the profile's rho functions.  For an ideal V (it
 holds every layer above the first) and for a horizontal V the symmetry of
-the multiradial ball puts the maximum at the origin, so beta is the origin
-volume: nested quadrature or, above the row budget, Monte Carlo for an
-ideal, and omega_k * rho_1^k for a horizontal V.  Every other V takes a
-multi-start Nelder-Mead on a common-random-numbers surface, so the
-objective is a deterministic function of the center for a fixed seed.
+the multiradial ball puts the maximum at the origin, and beta is the
+origin volume: a radial quadrature in the layer norms alone.  Every other
+V takes a multi-start Nelder-Mead on a common-random-numbers surface, so
+the objective is a deterministic function of the center for a fixed seed.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from .subgroups import HomSubspace, is_normal, subspace_from_signature_reference
 MAX_BOX_DOUBLINGS = 20
 MIN_MC_SAMPLES = 1000
 GL_NODES = 32
-# rows of the nested-quadrature batch, n_nodes^(n_1 + ... + n_{iota-1}); a
-# row costs about 480 bytes on the step-5 filiform group (q = 6), so a batch
-# at the budget peaks near 125 MB
+# rows of a quadrature batch: n_nodes^(n_1 + ... + n_{iota-1}) in
+# slice_volume_nested, where a row costs about 480 bytes on the step-5 filiform
+# group (q = 6), so a batch peaks near 125 MB, and n^(a - 1) in _origin_volume
 MAX_QUAD_ROWS = 1 << 18
 NM_MAXITER = 120
 
@@ -140,9 +139,9 @@ def slice_volume_mc(d: DistanceSpec, V: HomSubspace, z, n: int = 100000,
         done += m
         idx += 1
     p = hits / n
-    return VolumeEstimate(value=box_vol * p,
-                          std_error=box_vol * float(np.sqrt(p * (1.0 - p) / n)),
-                          n_samples=n, method="mc")
+    # with no hit or no miss, 3 * box_vol / n is the rule-of-three 95 % bound
+    err = box_vol * float(np.sqrt(p * (1.0 - p) / n)) if 0 < hits < n else box_vol / n
+    return VolumeEstimate(value=box_vol * p, std_error=err, n_samples=n, method="mc")
 
 
 # -- nested quadrature oracle ---------------------------------------------
@@ -183,9 +182,8 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
     if not V.signature[-1]:
         raise ConfigurationError(f"nested quadrature needs a top-layer direction, V has signature "
                                  f"{V.signature}: use slice_volume_mc or, for a horizontal V, "
-                                 "spherical_factor's closed form")
+                                 "spherical_factor")
     g = d.group
-    prof = d.profile
     z = g.zero() if z is None else np.asarray(z, dtype=float)
     inv_z = g.inverse(z)
     nodes1, weights1 = _gl_sin_rule(n_nodes)
@@ -201,14 +199,8 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
         # Psi_j (batch, dim H_j) and the rho arguments (batch, j-1)
         u = np.atleast_2d(g.multiply(inv_z[None, :], pts))
         psi = -g.project_layer(j, u)
-        targs = np.atleast_2d(g.layer_norms(u))[:, :j - 1]
-        # rho_j, or 0 where the leading layers already leave the ball
-        head = np.zeros((targs.shape[0], iota))
-        head[:, :j - 1] = targs
-        inside = prof(head) < 1.0
-        rho = np.zeros(targs.shape[0])
-        if np.any(inside):
-            rho[inside] = np.atleast_1d(prof.rho_i(j, targs[inside]))
+        # rho_j, 0 where the leading layers already leave the ball
+        rho = d.profile.rho_i(j, np.atleast_2d(g.layer_norms(u))[:, :j - 1])
         zeta = psi @ Bj if nj else np.zeros((pts.shape[0], 0))
         perp = psi - (zeta @ Bj.T if nj else 0.0)
         r_sq = rho ** 2 - np.einsum("nc,nc->n", np.atleast_2d(perp), np.atleast_2d(perp))
@@ -238,6 +230,30 @@ def slice_volume_nested(d: DistanceSpec, V: HomSubspace, z=None,
                           n_samples=0, method="nested_quadrature")
 
 
+def _origin_volume(prof, sig, n):
+    """Volume of a V of layer signature sig inside B(0, 1), in polar coordinates.
+
+    On each layer V meets the radius s_j runs over [0, rho_j(s_1, ..., s_{j-1})]
+    with weight n_j * omega_{n_j} * s_j^(n_j - 1) on the n-node sin rule moved
+    to (0, 1), and the last one is closed, omega_{n_j} * rho_j^{n_j}: n^(a - 1)
+    rows for a layers met, and no group product.
+    """
+    x, w = _gl_sin_rule(n)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    met = [j for j, nj in enumerate(sig, start=1) if nj]
+    s = np.zeros((1, len(sig)))  # the layer norms of each row so far
+    wts = np.ones(1)
+    for j in met[:-1]:
+        nj = sig[j - 1]
+        rho = prof.rho_i(j, s[:, :j - 1])[:, None]
+        r = rho * u
+        wts = (wts[:, None] * (nj * unit_ball_volume(nj) * w) * r ** (nj - 1) * rho).reshape(-1)
+        s = np.repeat(s, n, axis=0)
+        s[:, j - 1] = r.reshape(-1)
+    j, nj = met[-1], sig[met[-1] - 1]
+    return float(np.dot(wts, unit_ball_volume(nj) * prof.rho_i(j, s[:, :j - 1]) ** nj))
+
+
 # -- spherical factor ------------------------------------------------------
 
 def _project_to_unit_ball(d: DistanceSpec, z):
@@ -251,43 +267,38 @@ def spherical_factor(d: DistanceSpec, V: HomSubspace, n_starts: int = 16,
                      n_mc: int = 100000, seed: int = 0) -> FactorReport:
     """Maximum of the slice volume over ball centers in the unit metric ball.
 
-    The route is chosen from V's layer signature:
+    The symmetry of the multiradial ball puts it at the origin for
 
-    - an ideal V (it holds every layer above the first) has its maximum at
-      the origin.  A center factors as z = w * v with v in V and w in
-      W = V^perp in H_1; for fixed v_1 the higher layers of w^-1 * v are a
-      unit-Jacobian shear of those of v, and |(w^-1 * v)_1| =
-      sqrt(|v_1|^2 + |w|^2), so by the monotone profile the slice volume
-      does not increase with |w|.  beta is the nested quadrature at the
-      origin (`method == "nested_quadrature"`), or, when the 2 * GL_NODES
-      batch of its error bar exceeds MAX_QUAD_ROWS, the origin Monte Carlo
-      estimate at 10 * n_mc samples on stream seed + 1 (`"mc"`);
-    - a horizontal V of dimension k lies in H_1, the first layer of
-      z^-1 * v is v - z_1, and its other layers only raise the profile, so
-      every slice fits in a V-translate of the origin slice, the k-ball of
-      radius rho_1: beta = omega_k * rho_1^k (`"closed_form"`);
-    - every other V takes the multi-start Monte Carlo search of `_mc_factor`.
+    - an ideal V (it holds every layer above the first): a center factors
+      as z = w * v with v in V and w in W = V^perp in H_1; for fixed v_1
+      the higher layers of w^-1 * v are a unit-Jacobian shear of those of
+      v, and |(w^-1 * v)_1| = sqrt(|v_1|^2 + |w|^2), so by the monotone
+      profile the slice volume does not increase with |w|
+      (`method == "nested_quadrature"`);
+    - a horizontal V: the first layer of z^-1 * v is v - z_1 and the other
+      layers only raise the profile, so every slice fits in a V-translate
+      of the origin slice (`"closed_form"`).
 
-    On the first two routes the argmax is the origin and the center gap is
-    0 by the argument above, not by measurement; n_starts is unused, and
-    so are n_mc and seed except on the origin Monte Carlo estimate.
+    There beta is `_origin_volume` on the most nodes, up to GL_NODES, whose
+    doubled batch fits MAX_QUAD_ROWS, bounded by the gap to the doubled
+    rule plus the rho bisection tolerance; the argmax is the origin and the
+    center gap 0 by proof, and n_starts, n_mc and seed are unused.  Every
+    other V takes the multi-start Monte Carlo search of `_mc_factor`.
     """
     g = d.group
     if not 1 <= V.n <= g.q - 1:
         raise ConfigurationError("spherical factor needs 1 <= dim V <= q - 1")
     sig = V.signature
-    if sig[1:] == g.layer_dims[1:]:
-        if (2 * GL_NODES) ** sum(sig[:-1]) > MAX_QUAD_ROWS:
-            est = slice_volume_mc(d, V, g.zero(), n=10 * n_mc, seed=seed + 1)
-            return _origin_report(g, est.value, est.std_error, n_mc, seed, "mc")
-        beta = slice_volume_nested(d, V).value
-        bar = abs(beta - slice_volume_nested(d, V, n_nodes=2 * GL_NODES).value)
-        return _origin_report(g, beta, bar + beta * _rho_floor(d, V), 0, seed,
-                              "nested_quadrature")
-    if not any(sig[1:]):
-        beta = unit_ball_volume(V.n) * d.profile.rho_i(1, []) ** V.n
-        return _origin_report(g, beta, beta * _rho_floor(d, V), 0, seed, "closed_form")
-    return _mc_factor(d, V, n_starts, n_mc, seed)
+    ideal = sig[1:] == g.layer_dims[1:]
+    if not ideal and any(sig[1:]):
+        return _mc_factor(d, V, n_starts, n_mc, seed)
+    a = sum(1 for nj in sig if nj)
+    n = next(m for m in range(GL_NODES, 0, -1) if (2 * m) ** (a - 1) <= MAX_QUAD_ROWS)
+    beta = _origin_volume(d.profile, sig, n)
+    bar = abs(beta - _origin_volume(d.profile, sig, 2 * n)) + beta * _rho_floor(d, V)
+    return FactorReport(beta=beta, beta_error=bar, argmax_center=g.zero(), center_gap=0.0,
+                        gap_error=0.0, n_starts=0, n_mc=0, seed=seed, boundary_argmax=False,
+                        method="nested_quadrature" if ideal else "closed_form")
 
 
 def _rho_floor(d: DistanceSpec, V: HomSubspace):
@@ -295,12 +306,6 @@ def _rho_floor(d: DistanceSpec, V: HomSubspace):
     prof = d.profile
     return sum(nj * RHO_ATOL / prof.rho_i(j, np.zeros(j - 1))
                for j, nj in enumerate(V.signature, start=1) if nj)
-
-
-def _origin_report(g: GradedGroup, beta, beta_error, n_mc, seed, method):
-    return FactorReport(beta=beta, beta_error=beta_error, argmax_center=g.zero(),
-                        center_gap=0.0, gap_error=0.0, n_starts=0, n_mc=n_mc,
-                        seed=seed, boundary_argmax=False, method=method)
 
 
 def _mc_factor(d: DistanceSpec, V: HomSubspace, n_starts, n_mc, seed):

@@ -147,8 +147,8 @@ class MultiradialProfile:
     def rho_i(self, i: int, t):
         """sup{s >= 0 : phi(t_1, ..., t_{i-1}, s, 0, ..., 0) < 1}, batched over t.
 
-        rho_1 takes no leading arguments: `rho_i(1, [])`.  It is a constant
-        of the profile, bisected on one row once per evaluator and reused.
+        0 where t already leaves the open unit ball.  rho_1 = `rho_i(1, [])`
+        is a constant of the profile, bisected once per evaluator and reused.
         """
         iota = self.group.step
         if not 1 <= i <= iota:
@@ -159,10 +159,6 @@ class MultiradialProfile:
             raise ValueError(f"expected {i - 1} leading arguments, got {t.shape[-1]}")
         head = np.zeros((t.shape[0], iota))
         head[:, :i - 1] = np.abs(t)
-        if np.any(self(head) >= 1.0):
-            bad = int(np.argmax(self(head) >= 1.0))
-            raise ValueError(
-                f"argument {t[bad].tolist()} lies outside the domain T_{i}")
         if i == 1:
             if self._rho1[0] is not self.evaluator:
                 rho1 = self._bisect_rho(1, np.zeros((1, iota)))[0]
@@ -170,6 +166,7 @@ class MultiradialProfile:
             out = np.full(len(t), self._rho1[1])
         else:
             out = self._bisect_rho(i, head)
+        out = np.where(self(head) < 1.0, out, 0.0)  # outside lanes leave the others' bits alone
         return float(out[0]) if scalar_in else out
 
     def _bisect_rho(self, i, head):
@@ -180,7 +177,7 @@ class MultiradialProfile:
             return self(full) < 1.0
 
         _, _, out = bisect(below_one, np.zeros(len(head)), np.ones(len(head)),
-                           lambda lo, hi: np.max(hi - lo) < RHO_ATOL, 80, grow=64)
+                           lambda lo, hi: np.max(hi - lo, initial=0.0) < RHO_ATOL, 80, grow=64)
         return out
 
 

@@ -75,6 +75,23 @@ class TestBeta:
         assert beta == pytest.approx(3.14159, abs=0.05)
         assert "\r" not in text
 
+    def test_wide_ideal_is_not_zero(self, tmp_path, capsys):
+        # span{e_2, ..., e_17} in H_8 under hebisch_sikora(0.5): the 16-ball of
+        # radius 1/2, which no Monte Carlo sample at the default count hits
+        cfg = write_cfg(tmp_path, "b.json", {
+            "group": {"step": 2, "layer_dims": [16, 1],
+                      "bracket": [[17, i, i + 8, 1.0] for i in range(1, 9)]},
+            "distance": {"family": "hebisch_sikora", "params": {"eps": 0.5}},
+            "subspace": [[float(i == j) for i in range(17)] for j in range(1, 17)]})
+        out_csv = tmp_path / "beta.csv"
+        assert run(["beta", "--config", cfg, "--out", str(out_csv)]) == 0
+        assert "method: nested_quadrature" in capsys.readouterr().out
+        head, row = out_csv.read_text().splitlines()
+        row = dict(zip(head.split(","), row.split(",")))
+        truth = factor.unit_ball_volume(16) / 2 ** 16
+        assert float(row["beta_error"]) > 0.0
+        assert abs(float(row["beta"]) - truth) <= 3 * float(row["beta_error"])
+
     def test_missing_subspace_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "b.json", {
             "group": "abelian:3", "distance": {"family": "euclidean"}})

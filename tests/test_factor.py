@@ -29,6 +29,14 @@ def vertical(heis):
     return subspace_from_vectors(heis, [[0, 1, 0], [0, 0, 1]])
 
 
+@pytest.fixture(scope="module")
+def h8():
+    # H_8: layer dims (16, 1), [e_i, e_{i+8}] = e_17, and its ideal span{e_2, ..., e_17}
+    g = GradedGroup(structure_constants_from_sparse(
+        2, (16, 1), [[17, i, i + 8, 1.0] for i in range(1, 9)]))
+    return g, subspace_from_vectors(g, np.eye(17)[1:])
+
+
 class TestNestedQuadrature:
     def test_euclidean_plane_is_pi(self):
         g = preset_group("abelian:3")
@@ -91,6 +99,15 @@ class TestMonteCarlo:
         far = np.array([5.0, 0.0, 0.0])
         est = slice_volume_mc(d, vertical, far, n=10000, seed=0)
         assert est.value == 0.0
+        assert est.std_error > 0.0
+
+    def test_no_hit_bar_covers_a_tiny_slice(self, h8):
+        # the 16-ball of radius 1/2 fills 5.5e-11 of the box [-1, 1]^16, so
+        # 1e5 samples see no hit; the bar must still cover the truth
+        g, V = h8
+        est = slice_volume_mc(hebisch_sikora(g, 0.5, validate=False), V, g.zero(), n=100000)
+        assert est.value == 0.0
+        assert 3 * est.std_error >= unit_ball_volume(16) / 2 ** 16
 
 
 class TestSphericalFactor:
@@ -130,8 +147,8 @@ class TestQuadraturePath:
         np.testing.assert_array_equal(a.argmax_center, b.argmax_center)
 
     @pytest.mark.parametrize("distance, param, beta, beta_error", [
-        (koranyi, 16.0, 0.87401918474219742, 4.4849851334007061e-10),
-        (hebisch_sikora, 0.5, 0.78539816340842594, 3.1699566316496921e-10),
+        (koranyi, 16.0, 0.8740191847530902, 4.3786746175091633e-10),
+        (hebisch_sikora, 0.5, 0.7853981633993408, 3.14993931047936e-10),
     ], ids=["koranyi", "hebisch_sikora"])
     def test_vertical_plane_bits(self, heis, vertical, distance, param, beta, beta_error):
         # pinned to the bit; the cached rho_1 and rule must not move them
@@ -252,19 +269,35 @@ class TestOriginRoutes:
         assert rep.method == "nested_quadrature"
         assert abs(rep.beta - 2.0 * unit_ball_volume(6)) <= 3 * rep.beta_error
 
-    def test_ideal_over_row_budget_takes_origin_mc(self):
-        # the (1, 1, 1, 1, 1) hyperplane of filiform would need 64^4 rows; its
-        # slice is the 5-ball of radius 1/2, pi^2 / 60
+    def test_filiform_hyperplane_takes_quadrature(self):
+        # the (1, 1, 1, 1, 1) hyperplane of filiform meets five layers: the
+        # radial rule takes 11 nodes, 22^4 rows for its bar; its slice is the
+        # 5-ball of radius 1/2, pi^2 / 60
         g = GradedGroup(structure_constants_from_sparse(
             5, (2, 1, 1, 1, 1), [[3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]))
         V = subspace_from_vectors(g, np.eye(6)[1:])
         rep = spherical_factor(hebisch_sikora(g, 0.5, validate=False), V, n_mc=20000)
-        assert rep.method == "mc"
-        assert (rep.n_starts, rep.center_gap, rep.gap_error) == (0, 0.0, 0.0)
+        assert rep.method == "nested_quadrature"
+        assert (rep.n_starts, rep.n_mc, rep.center_gap, rep.gap_error) == (0, 0, 0.0, 0.0)
         assert abs(rep.beta - np.pi ** 2 / 60) <= 3 * rep.beta_error
+        assert 0.0 < rep.beta_error < 1e-9
+
+    def test_wide_ideal_is_not_zero(self, h8):
+        # 16-dimensional ideal of H_8 under hebisch_sikora(0.5): the slice is
+        # the 16-ball of radius 1/2, far too small for origin Monte Carlo
+        g, V = h8
+        rep = spherical_factor(hebisch_sikora(g, 0.5, validate=False), V)
+        assert rep.method == "nested_quadrature"
+        assert rep.beta_error > 0.0
+        assert abs(rep.beta - unit_ball_volume(16) / 2 ** 16) <= 3 * rep.beta_error
 
     def test_search_code_never_imported(self):
+        # scipy costs import time, so neither the import nor a proof route
+        # may load any of it
         code = ("import sys\n"
+                "import carnot, carnot.cli\n"
+                "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                "assert not scipy(), scipy()\n"
                 "from carnot.algebra import preset_group\n"
                 "from carnot.factor import spherical_factor\n"
                 "from carnot.metrics import koranyi\n"
@@ -272,7 +305,7 @@ class TestOriginRoutes:
                 "g = preset_group('heisenberg1')\n"
                 "for name in ('vertical_plane_x0', 'horizontal_x_axis'):\n"
                 "    spherical_factor(koranyi(g), subspace_from_dict(g, name))\n"
-                "assert 'scipy.optimize' not in sys.modules\n")
+                "assert not scipy(), scipy()\n")
         subprocess.run([sys.executable, "-c", code], check=True)
 
 

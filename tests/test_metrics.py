@@ -142,10 +142,12 @@ class TestProfiles:
 
     def test_rho_i_batched(self, g):
         p = koranyi(g).profile
-        t = np.array([[0.0], [0.3], [0.9]])
+        t = np.array([[0.0], [0.3], [0.9], [1.5]])
         out = p.rho_i(2, t)
+        # t_1 = 1.5 already leaves the unit ball: rho is 0 there
         np.testing.assert_allclose(
-            out, np.sqrt((1 - t[:, 0] ** 4) / 16.0), rtol=1e-8)
+            out, np.sqrt(np.maximum(1 - t[:, 0] ** 4, 0.0) / 16.0), rtol=1e-8)
+        assert out[3] == 0.0
 
     def test_cached_rho1_matches_fresh_bisection(self, g):
         for d in (dinf(g), koranyi(g), hebisch_sikora(g), dinf(g, c=1.5)):

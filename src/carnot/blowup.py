@@ -21,6 +21,9 @@ from .metrics import DistanceSpec, false_position
 from .subgroups import HomSubspace, subspace_from_vectors
 
 FD_STEP = 1e-6
+MU_RTOL = 1e-9
+MU_SPLIT = 4
+MU_MAX_PANELS = 64
 DEGREE3_DENSITY_FLOOR = 1e-10
 
 
@@ -58,10 +61,10 @@ class SurfacePatch:
         return np.asarray(self.fn(np.asarray(U, dtype=float), np.asarray(V, dtype=float)))
 
     def tangents(self, U, V):
-        """Central finite-difference partials (dPhi/du, dPhi/dv)."""
-        h = FD_STEP
-        pu = (self.points(U + h, V) - self.points(U - h, V)) / (2 * h)
-        pv = (self.points(U, V + h) - self.points(U, V - h)) / (2 * h)
+        """Central finite-difference partials over the rounded steps (exact if linear)."""
+        (um, up), (vm, vp) = ((x - FD_STEP, x + FD_STEP) for x in map(np.asarray, (U, V)))
+        pu = (self.points(up, V) - self.points(um, V)) / (up - um)[..., None]
+        pv = (self.points(U, vp) - self.points(U, vm)) / (vp - vm)[..., None]
         return pu, pv
 
 
@@ -172,27 +175,27 @@ def _midpoint_grid(box, n):
 
 
 def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
-                        guess=None):
+                        guess=None, n: int = 512):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
-    A 512 x 512 hit grid on `guess` clipped to the domain, or on the domain
+    An n x n hit grid on `guess` clipped to the domain, or on the domain
     when there is no guess, locates the preimage.  One false-position solve
     then moves its four edges out to the ball, on the gauge min phi - 1 of
     2048-point probe lines (a NaN phi is outside), keeping the outside end
-    of each bracket.  The guess must contain the preimage: one that misses
-    the ball, or whose interior edge still meets it, gives way to the
-    domain search.  Returns (box, touches_domain_boundary), or (None, False)
-    when the ball misses the patch.  The domain grid can overlook regions
-    much thinner than a cell.
+    of each bracket, so only a domain edge can lie inside the ball.  The
+    guess must contain the preimage: one that misses the ball, or whose
+    interior edge still meets it, gives way to the domain search.  Returns
+    (box, touches_domain_boundary), or (None, False) when the ball misses
+    the patch.  The domain grid can overlook regions much thinner than a
+    cell.
     """
-    n = 512
     dom = patch.domain
     box = dom if guess is None else tuple(
         (max(float(lo), dlo), min(float(hi), dhi)) for (lo, hi), (dlo, dhi) in zip(guess, dom))
     U, V, _ = _midpoint_grid(box, n)
     inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
     if not np.any(inside):
-        return (None, False) if guess is None else _param_bounding_box(patch, d, center, r)
+        return (None, False) if guess is None else _param_bounding_box(patch, d, center, r, n=n)
     # the hit extents (u0, u1, v0, v1) on the grid's axes U[::n] and V[:n],
     # and in the same lanes probe lines across the other axis's hit extent
     # widened by one grid cell
@@ -212,34 +215,89 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
     g_edge = gauge(edges)
     meets = ~(g_edge > 0.0)
     if np.any(meets & (edges != dom_edges)):  # the guess cuts the preimage
-        return _param_bounding_box(patch, d, center, r)
+        return _param_bounding_box(patch, d, center, r, n=n)
     tol = 1e-12 * np.repeat([max(1.0, abs(lo) + abs(hi)) for lo, hi in box], 2)
     out, _ = false_position(gauge, edges, np.where(meets, edges, hit), tol, 50, g_lo=g_edge)
     return (tuple(out[:2].tolist()), tuple(out[2:].tolist())), bool(np.any(meets))
+
+
+def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
+    """Degree-3 measure inside B(center, r) of each row u, v in v_lim.
+
+    A 32-point scan brackets the inside v-intervals (rows with none are
+    rescanned near their gauge min, up to 8 times), one false-position solve
+    moves all brackets to the ball, and 16-node Gauss-Legendre sums the
+    density on each interval.
+    """
+    def gauge(U, V):
+        return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf) - 1.0
+
+    n_scan = 32
+    V = np.tile(np.linspace(*v_lim, n_scan), (len(u), 1))
+    G = gauge(np.repeat(u, n_scan), V.ravel()).reshape(V.shape)
+    for _ in range(8):
+        thin = np.flatnonzero(~np.any(G <= 0.0, axis=1))
+        if not len(thin):
+            break
+        k = np.argmin(G[thin], axis=1)
+        a, b = V[thin, np.maximum(k - 1, 0)], V[thin, np.minimum(k + 1, n_scan - 1)]
+        V[thin] = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, n_scan)
+        G[thin] = gauge(np.repeat(u[thin], n_scan), V[thin].ravel()).reshape(-1, n_scan)
+    # +1 at the first and -1 after the last inside scan point of an interval;
+    # a scan end that is inside is a domain edge and stays put
+    step = np.diff(np.pad(G <= 0.0, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    (rs, js), (re, je) = np.nonzero(step == 1), np.nonzero(step == -1)
+    rows, j_in = np.concatenate([rs, re]), np.concatenate([js, je - 1])
+    j_out = np.clip(j_in + np.repeat([-1, 1], len(rs)), 0, n_scan - 1)
+    lo, hi = false_position(lambda x: gauge(u[rows], x), V[rows, j_out], V[rows, j_in],
+                            1e-12 * (v_lim[1] - v_lim[0]), 60, G[rows, j_out], G[rows, j_in])
+    a, b = np.split(0.5 * (lo + hi), 2)
+    x, w = np.polynomial.legendre.leggauss(16)
+    vq = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+    dens = degree3_density(patch, np.repeat(u[rs], len(x)), vq.ravel()).reshape(vq.shape)
+    return np.bincount(rs, weights=0.5 * (b - a) * (dens @ w), minlength=len(u))
 
 
 def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
                n_grid: int = 512, box_guess=None) -> MuEstimate:
     """Degree-3 surface measure of the patch inside B(center, r).
 
-    Midpoint rule on a tight parameter bounding box of the ball preimage;
-    `truncated` is set when the ball reaches the patch boundary.  For small
-    balls far below the patch scale, pass `box_guess`, a parameter rectangle
-    that contains the preimage, so the locator probes at a resolution
-    matched to the region.  A guess that misses the ball or cuts the
-    preimage is not used: the whole domain is searched instead.
+    `_param_bounding_box` finds a tight parameter box of the ball preimage
+    with an n_grid x n_grid hit grid; `truncated` is set when the ball
+    reaches the patch boundary.  Sin-mapped Gauss-Legendre rows in u, on
+    panels graded toward both ends of the box, sum the row measures of
+    `_row_measures`.  A panel whose GL_NODES / 2 and GL_NODES node sums
+    differ by more than MU_RTOL of the total is cut in MU_SPLIT, while there
+    are at most MU_MAX_PANELS panels.  For small balls far below the patch
+    scale, pass `box_guess`, a parameter rectangle that contains the
+    preimage, so the locator probes at a resolution matched to the region.
+    A guess that misses the ball or cuts the preimage is not used.
     """
+    from .factor import GL_NODES, _gl_sin_rule
+
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
-    box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess)
+    box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess, n=n_grid)
     if box is None:
         return MuEstimate(value=0.0, truncated=False, box=None)
-    U, V, cell = _midpoint_grid(box, n_grid)
-    dens = degree3_density(patch, U, V)
-    inside = d.ball_contains(center, r, patch.points(U, V))
-    return MuEstimate(value=float(np.sum(dens * inside) * cell),
-                      truncated=truncated, box=box)
+    grade = np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2])
+    cuts = np.interp(np.concatenate([grade, 1.0 - grade[::-1]]), [0.0, 1.0], box[0])
+    panels, kept, n_panels = np.stack([cuts[:-1], cuts[1:]], axis=1), 0.0, len(cuts) - 1
+    rules = [_gl_sin_rule(n) for n in (GL_NODES // 2, GL_NODES)]
+    while True:
+        mid, half = panels.mean(axis=1)[:, None], 0.5 * np.diff(panels, axis=1)
+        u = [(mid + half * x).ravel() for x, _ in rules]
+        f = np.split(_row_measures(patch, d, center, r, np.concatenate(u), box[1]), [u[0].size])
+        q_n, q_2n = (half[:, 0] * (fi.reshape(len(panels), -1) @ w) for fi, (_, w) in zip(f, rules))
+        total = kept + float(np.sum(q_2n))
+        split = np.abs(q_2n - q_n) > MU_RTOL * abs(total)
+        n_panels += (MU_SPLIT - 1) * np.count_nonzero(split)
+        if not np.any(split) or n_panels > MU_MAX_PANELS:
+            return MuEstimate(value=total, truncated=truncated, box=box)
+        kept += float(np.sum(q_2n[~split]))
+        cut = np.linspace(*panels[split].T, MU_SPLIT + 1, axis=1)
+        panels = np.stack([cut[:, :-1].ravel(), cut[:, 1:].ravel()], axis=1)
 
 
 def surface_measure_total(patch: SurfacePatch, n_grid: int = 512) -> float:
@@ -252,23 +310,20 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
                   n_grid: int = 512) -> DensityCurve:
     """Ratios mu(B(p, r)) / r^3 and their linear-in-r extrapolation to 0.
 
-    Requires a degree-3 base point; the limit is the intercept of a linear
-    fit over the three smallest radii.
+    Requires a degree-3 base point and distinct radii; the limit is the
+    intercept of a linear fit over the three smallest radii.  `mu_measure`
+    walks the radii downward, each tight box the locator guess for the next,
+    so its n_grid x n_grid hit grid follows the shrinking preimage.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
-    if len(radii) < 1 or radii[-1] <= 0:
-        raise ValueError("radii must be positive")
+    if len(radii) < 1 or radii[-1] <= 0 or len(set(radii)) < len(radii):
+        raise ValueError(f"radii must be positive and distinct, got {radii}")
     rep = homogeneous_tangent(patch, u, v)
     if rep.degree != 3:
         raise ValueError(
             "base point is characteristic (degree 2); the blow-up identity "
             "only applies at points of maximal degree")
-    p = rep.point
-    ratios = []
-    truncated = False
-    # walk radii downward, reusing each tight box as the next locator guess
-    # so the probe resolution follows the shrinking (anisotropic) preimage
-    box = None
+    p, ratios, truncated, box = rep.point, [], False, None
     for r in radii:
         mu = mu_measure(patch, d, p, r, n_grid=n_grid, box_guess=box)
         if mu.box is not None:

@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -195,6 +196,8 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
 def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     u, v = cfg.reals("point", length=2)
     radii = cfg.reals("radii", [0.4, 0.2, 0.1], positive=True)
+    if len(set(radii)) < len(radii):
+        raise ConfigurationError(f"radii must be distinct, got {list(radii)}")
     n_grid = cfg.integer("n_grid", 512, maximum=MAX_N_GRID)
     n_mc = _samples(cfg, samples)
     g = cfg.group()
@@ -248,6 +251,7 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="carnot",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -206,6 +207,25 @@ class TestBlowup:
         assert "characteristic" in capsys.readouterr().err
 
 
+class TestParser:
+    def test_built_once(self, tmp_path, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cfg = write_cfg(tmp_path, "g.json", {"group": "engel", "samples": 10})
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        try:
+            assert run(["check-group", "--config", cfg]) == 0
+            assert run(["check-group", "--config", cfg]) == 0
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("carnot") == 1
+
+
 class TestGraphArea:
     def test_flat_graph(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "ga.json", {
@@ -269,6 +289,7 @@ class TestConfigFaults:
         ("blowup", {"radii": ["x"]}, "radii"),
         ("blowup", {"point": [float("nan"), 0]}, "point"),
         ("blowup", {"radii": [0.2, float("inf")]}, "radii"),
+        ("blowup", {"radii": [0.2, 0.2, 0.2]}, "radii must be distinct"),
         ("check-distance", {"distance": {"family": "dinf", "params": 5}}, "params"),
         ("check-distance", {"distance": {"family": "dinf", "params": "ab"}}, "params"),
         ("check-distance", {"distance": {"family": "profile", "params": {"expr": 5}}},
@@ -286,7 +307,7 @@ class TestConfigFaults:
         ("check-group", {"group": {"step": 2, "layer_dims": [2, 1],
                                    "bracket": [[3, 1, 2, float("inf")]]}}, "bracket entry"),
     ], ids=["point-int", "radii-int", "point-short", "point-string", "radii-empty",
-            "radii-negative", "radii-string", "point-nan", "radii-infinity",
+            "radii-negative", "radii-string", "point-nan", "radii-infinity", "radii-repeated",
             "params-int", "params-string", "expr-int", "expr-sqrt-two-args",
             "expr-max-no-args", "subspace-int", "subspace-short", "signature-int",
             "bracket-fractional-index", "bracket-infinite-value"])

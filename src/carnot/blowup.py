@@ -25,6 +25,11 @@ MU_RTOL = 1e-9
 MU_SPLIT = 4
 MU_MAX_PANELS = 64
 DEGREE3_DENSITY_FLOOR = 1e-10
+LOCATOR_LINE = 512
+LOCATOR_FINE = 64
+LOCATOR_LEVELS = 2
+LOCATOR_ZOOM = 8
+LOCATOR_STEPS = 32
 
 
 def _require_heisenberg(g: GradedGroup):
@@ -174,60 +179,129 @@ def _midpoint_grid(box, n):
     return U.ravel(), V.ravel(), (u1 - u0) * (v1 - v0) / (n * n)
 
 
+def _probe_lines(spans, through):
+    """Probe line of each locator edge: LOCATOR_LINE points across its span.
+
+    Rows are the edges (u0, u1, v0, v1); the u edges probe along v, the v
+    edges along u.  Line e holds the coordinate through[e] exactly, the
+    other coordinate of a point known inside the ball, so that a bracket
+    end there reads inside.
+    """
+    lines = np.linspace(spans[:, 0], spans[:, 1], LOCATOR_LINE, axis=1)
+    lines[np.arange(4), np.argmin(np.abs(lines - through[:, None]), axis=1)] = through
+    return lines
+
+
+def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines):
+    """x -> min phi - 1 on each edge's probe line at coordinate x (NaN is outside).
+
+    The line's min is refined LOCATOR_LEVELS times, each on LOCATOR_FINE
+    points across the two cells around the previous argmin, so that a
+    preimage tip thinner than a line cell still reads inside.
+    """
+    along_v = (np.arange(4) < 2)[:, None]  # the u edges probe along v
+    first, last, lane = lines[:, :1], lines[:, -1:], np.arange(4)
+    unit = np.linspace(-1.0, 1.0, LOCATOR_FINE)
+
+    def phi(x, pts):
+        U, V = np.where(along_v, x[:, None], pts), np.where(along_v, pts, x[:, None])
+        out = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(4, -1)
+        return np.nan_to_num(out, nan=np.inf)
+
+    def gauge(x):
+        pts, cell, best = lines, (last - first) / (lines.shape[1] - 1), np.inf
+        for _ in range(LOCATOR_LEVELS + 1):
+            val = phi(x, pts)
+            j = np.argmin(val, axis=1)
+            best = np.minimum(best, val[lane, j])
+            pts = np.clip(pts[lane, j][:, None] + cell * unit, first, last)
+            cell = cell * 2.0 / (LOCATOR_FINE - 1)
+        return best - 1.0
+    return gauge
+
+
 def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
-                        guess=None, n: int = 512):
+                        guess=None, n: int = 512, inside=None):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
-    An n x n hit grid on `guess` clipped to the domain, or on the domain
-    when there is no guess, locates the preimage.  One false-position solve
-    then moves its four edges out to the ball, on the gauge min phi - 1 of
-    2048-point probe lines (a NaN phi is outside), keeping the outside end
-    of each bracket, so only a domain edge can lie inside the ball.  The
-    guess must contain the preimage: one that misses the ball, or whose
-    interior edge still meets it, gives way to the domain search.  Returns
-    (box, touches_domain_boundary), or (None, False) when the ball misses
-    the patch.  The domain grid can overlook regions much thinner than a
-    cell.
+    One batched false-position solve moves the four edges of a search box
+    in to the ball, on the gauge min phi - 1 of LOCATOR_LINE-point probe
+    lines (`_edge_gauge`), keeping the outside end of each bracket, so only
+    a domain edge can lie inside the ball.  Each bracket runs from a box
+    edge to the extreme witness on its axis, a point known inside, and the
+    edge's probe line passes through that witness.
+
+    With `inside`, a parameter point in the preimage, and a `guess` that
+    contains the preimage, the guess is the search box, probed across its
+    whole width, and `inside` the witness of every edge.  Otherwise an
+    n x n hit grid on `guess` clipped to the domain, or on the domain when
+    there is no guess, gives the witnesses, with `inside` among them, and
+    the probe lines span the hits widened by one grid cell.  With `inside`,
+    a box that leaves its probe lines' span, or is under 1/LOCATOR_ZOOM of
+    it, is probed again on itself widened by its width on each side, each
+    new edge pushed out from `inside` until it reads outside.  A guess that
+    misses the ball, or whose interior edge still meets it, gives way to
+    the domain search.  Returns (box, touches_domain_boundary), or
+    (None, False) when the ball misses the patch.  Without `inside`, the
+    domain grid can overlook regions much thinner than a cell.
     """
     dom = patch.domain
     box = dom if guess is None else tuple(
         (max(float(lo), dlo), min(float(hi), dhi)) for (lo, hi), (dlo, dhi) in zip(guess, dom))
-    U, V, _ = _midpoint_grid(box, n)
-    inside = d.ball_contains(center, r, patch.points(U, V)).reshape(n, n)
-    if not np.any(inside):
-        return (None, False) if guess is None else _param_bounding_box(patch, d, center, r, n=n)
-    # the hit extents (u0, u1, v0, v1) on the grid's axes U[::n] and V[:n],
-    # and in the same lanes probe lines across the other axis's hit extent
-    # widened by one grid cell
-    iu, iv = (np.flatnonzero(np.any(inside, axis=a)) for a in (1, 0))
-    hit = np.concatenate([U[::n][iu[[0, -1]]], V[:n][iv[[0, -1]]]])
-    lines = [np.linspace(max(b0, h0 - (b1 - b0) / n), min(b1, h1 + (b1 - b0) / n), 2048)
-             for (b0, b1), (h0, h1) in zip(box, hit.reshape(2, 2))]
-    probe = np.repeat(lines[::-1], 2, axis=0)
-    along_v = (np.arange(4) < 2)[:, None]  # the u edges probe along v
+    outer = np.array(box)
+    if guess is not None and inside is not None:
+        hits, span = np.array([inside], dtype=float), outer
+    else:
+        U, V, _ = _midpoint_grid(box, n)
+        hit = d.ball_contains(center, r, patch.points(U, V))
+        hits = np.stack([U[hit], V[hit]], axis=1)
+        if inside is not None:
+            hits = np.vstack([hits, np.asarray(inside, dtype=float)])
+        if not len(hits):
+            return (None, False) if guess is None else _param_bounding_box(patch, d, center, r, n=n)
+        cell = np.diff(outer, axis=1)[:, 0] / n
+        span = np.stack([np.maximum(outer[:, 0], hits.min(axis=0) - cell),
+                         np.minimum(outer[:, 1], hits.max(axis=0) + cell)], axis=1)
+    witness = hits[[np.argmin(hits[:, 0]), np.argmax(hits[:, 0]),
+                    np.argmin(hits[:, 1]), np.argmax(hits[:, 1])]]
+    along, across = np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])  # axis of line, of edge
+    ends, through = witness[np.arange(4), across], witness[np.arange(4), along]
+    edges, dom_edges = outer.ravel(), np.ravel(dom)
+    tol = 1e-12 * np.repeat(np.maximum(1.0, np.abs(outer).sum(axis=1)), 2)
+    lo_edges, hi_edges = outer[across, 0], outer[across, 1]
+    probe = edges
+    for _ in range(LOCATOR_STEPS):
+        gauge = _edge_gauge(patch, d, center, r, _probe_lines(span[along], through))
+        g_edge = gauge(probe)
+        cut = ~(g_edge > 0.0) & (probe != dom_edges)
+        if np.any(cut & (probe == edges)):  # the guess cuts the preimage
+            return _param_bounding_box(patch, d, center, r, n=n, inside=inside)
+        if np.any(cut):  # a widened edge still inside moves 4x as far from `inside`
+            probe = np.clip(np.where(cut, ends + 4.0 * (probe - ends), probe), lo_edges, hi_edges)
+            span = probe.reshape(2, 2)
+            continue
+        meets = ~(g_edge > 0.0)
+        lo, _ = false_position(gauge, probe, np.where(meets, probe, ends), tol, 50, g_lo=g_edge)
+        found = lo.reshape(2, 2)
+        width = np.diff(found, axis=1)[:, 0]
+        if inside is None or np.all((found[:, 0] >= span[:, 0]) & (found[:, 1] <= span[:, 1])
+                                    & (LOCATOR_ZOOM * width >= np.diff(span, axis=1)[:, 0])):
+            break
+        # probe again on the box widened by its width on each side
+        witness = np.tile(np.asarray(inside, dtype=float), (4, 1))
+        ends, through = witness[np.arange(4), across], witness[np.arange(4), along]
+        probe = np.clip((found + width[:, None] * [-1.0, 1.0]).ravel(), lo_edges, hi_edges)
+        span = probe.reshape(2, 2)
+    return (tuple(lo[:2].tolist()), tuple(lo[2:].tolist())), bool(np.any(meets))
 
-    def gauge(x):
-        U, V = np.where(along_v, x[:, None], probe), np.where(along_v, probe, x[:, None])
-        phi = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(4, -1)
-        return np.nan_to_num(phi, nan=np.inf).min(axis=1) - 1.0
 
-    edges, dom_edges = np.ravel(box), np.ravel(dom)
-    g_edge = gauge(edges)
-    meets = ~(g_edge > 0.0)
-    if np.any(meets & (edges != dom_edges)):  # the guess cuts the preimage
-        return _param_bounding_box(patch, d, center, r, n=n)
-    tol = 1e-12 * np.repeat([max(1.0, abs(lo) + abs(hi)) for lo, hi in box], 2)
-    out, _ = false_position(gauge, edges, np.where(meets, edges, hit), tol, 50, g_lo=g_edge)
-    return (tuple(out[:2].tolist()), tuple(out[2:].tolist())), bool(np.any(meets))
-
-
-def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
+def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim, rule):
     """Degree-3 measure inside B(center, r) of each row u, v in v_lim.
 
     A 32-point scan brackets the inside v-intervals (rows with none are
     rescanned near their gauge min, up to 8 times), one false-position solve
-    moves all brackets to the ball, and 16-node Gauss-Legendre sums the
-    density on each interval.
+    moves all brackets to the ball, and the Gauss-Legendre `rule` (nodes,
+    weights) on (-1, 1) sums the density on each interval.
     """
     def gauge(U, V):
         return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf) - 1.0
@@ -252,33 +326,38 @@ def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
     lo, hi = false_position(lambda x: gauge(u[rows], x), V[rows, j_out], V[rows, j_in],
                             1e-12 * (v_lim[1] - v_lim[0]), 60, G[rows, j_out], G[rows, j_in])
     a, b = np.split(0.5 * (lo + hi), 2)
-    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = rule
     vq = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
     dens = degree3_density(patch, np.repeat(u[rs], len(x)), vq.ravel()).reshape(vq.shape)
     return np.bincount(rs, weights=0.5 * (b - a) * (dens @ w), minlength=len(u))
 
 
 def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
-               n_grid: int = 512, box_guess=None) -> MuEstimate:
+               n_grid: int = 512, box_guess=None, inside=None) -> MuEstimate:
     """Degree-3 surface measure of the patch inside B(center, r).
 
-    `_param_bounding_box` finds a tight parameter box of the ball preimage
-    with an n_grid x n_grid hit grid; `truncated` is set when the ball
-    reaches the patch boundary.  Sin-mapped Gauss-Legendre rows in u, on
-    panels graded toward both ends of the box, sum the row measures of
-    `_row_measures`.  A panel whose GL_NODES / 2 and GL_NODES node sums
-    differ by more than MU_RTOL of the total is cut in MU_SPLIT, while there
-    are at most MU_MAX_PANELS panels.  For small balls far below the patch
-    scale, pass `box_guess`, a parameter rectangle that contains the
-    preimage, so the locator probes at a resolution matched to the region.
-    A guess that misses the ball or cuts the preimage is not used.
+    `_param_bounding_box` finds a tight parameter box of the ball preimage;
+    `truncated` is set when the ball reaches the patch boundary.  Sin-mapped
+    Gauss-Legendre rows in u, on panels graded toward both ends of the box,
+    sum the row measures of `_row_measures`.  A panel whose GL_NODES / 2 and
+    GL_NODES node sums differ by more than MU_RTOL of the total is cut in
+    MU_SPLIT, while there are at most MU_MAX_PANELS panels.
+
+    Without `inside`, an n_grid x n_grid hit grid on `box_guess`, or on the
+    domain, locates the preimage, and a preimage thinner than a grid cell
+    can read 0.  `inside` is a parameter point (u, v) whose image lies in
+    the ball, such as the preimage of `center`: the domain grid then counts
+    it as a hit, and a `box_guess` that contains the preimage is bracketed
+    from it with no grid at all.  A guess that misses the ball or cuts the
+    preimage is not used.
     """
-    from .factor import GL_NODES, _gl_sin_rule
+    from .factor import GL_NODES, _gl_rule, _gl_sin_rule
 
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
-    box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess, n=n_grid)
+    box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess, n=n_grid,
+                                         inside=inside)
     if box is None:
         return MuEstimate(value=0.0, truncated=False, box=None)
     grade = np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2])
@@ -288,7 +367,8 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
     while True:
         mid, half = panels.mean(axis=1)[:, None], 0.5 * np.diff(panels, axis=1)
         u = [(mid + half * x).ravel() for x, _ in rules]
-        f = np.split(_row_measures(patch, d, center, r, np.concatenate(u), box[1]), [u[0].size])
+        f = np.split(_row_measures(patch, d, center, r, np.concatenate(u), box[1], _gl_rule(16)),
+                     [u[0].size])
         q_n, q_2n = (half[:, 0] * (fi.reshape(len(panels), -1) @ w) for fi, (_, w) in zip(f, rules))
         total = kept + float(np.sum(q_2n))
         split = np.abs(q_2n - q_n) > MU_RTOL * abs(total)
@@ -312,8 +392,10 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
 
     Requires a degree-3 base point and distinct radii; the limit is the
     intercept of a linear fit over the three smallest radii.  `mu_measure`
-    walks the radii downward, each tight box the locator guess for the next,
-    so its n_grid x n_grid hit grid follows the shrinking preimage.
+    walks the radii downward with the base point (u, v) as its `inside`
+    point.  The largest radius runs the n_grid x n_grid domain search; each
+    tight box is the guess for the next radius, which the locator brackets
+    from (u, v) with no hit grid, however far apart the radii are.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 1 or radii[-1] <= 0 or len(set(radii)) < len(radii):
@@ -325,7 +407,7 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
             "only applies at points of maximal degree")
     p, ratios, truncated, box = rep.point, [], False, None
     for r in radii:
-        mu = mu_measure(patch, d, p, r, n_grid=n_grid, box_guess=box)
+        mu = mu_measure(patch, d, p, r, n_grid=n_grid, box_guess=box, inside=(u, v))
         if mu.box is not None:
             box = mu.box
         truncated = truncated or mu.truncated

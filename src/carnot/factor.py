@@ -147,13 +147,22 @@ def slice_volume_mc(d: DistanceSpec, V: HomSubspace, z, n: int = 100000,
 # -- nested quadrature oracle ---------------------------------------------
 
 @lru_cache(maxsize=8)
+def _gl_rule(n_nodes):
+    """Gauss-Legendre nodes and weights on (-1, 1), cached per n_nodes; read-only."""
+    rule = np.polynomial.legendre.leggauss(n_nodes)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+@lru_cache(maxsize=8)
 def _gl_sin_rule(n_nodes):
     """Gauss-Legendre nodes mapped by x = sin(theta) on (-1, 1).
 
     Absorbs square-root vanishing of ball slices at the domain edge.
     Cached per n_nodes; the arrays are read-only.
     """
-    u, w = np.polynomial.legendre.leggauss(n_nodes)
+    u, w = _gl_rule(n_nodes)
     theta = u * (pi / 2.0)
     rule = np.sin(theta), np.cos(theta) * w * (pi / 2.0)
     for a in rule:

@@ -222,6 +222,47 @@ class TestDensityCurve:
         np.testing.assert_allclose(curve.ratios, 0.87401918476404, rtol=0, atol=1e-8)
 
 
+# mu / r^3 of a vertical plane: 4 / c^2 under dinf, the slice area under Koranyi
+EXACT_PLANE_RATIOS = pytest.mark.parametrize("family, exact", [
+    (lambda g: dinf(g, c=2.0), 1.0),
+    (lambda g: koranyi(g, gamma=16.0), 0.87401918476404),
+], ids=["dinf", "koranyi"])
+
+
+class TestWideRatios:
+    """Radii far apart, or all small: every ratio meets its exact value."""
+
+    @pytest.mark.parametrize("radii", [(0.4, 0.01), (0.5, 0.005), (0.02, 0.01)])
+    @EXACT_PLANE_RATIOS
+    def test_vertical_plane(self, g, family, exact, radii):
+        curve = density_curve(vertical_plane(g), family(g), 0.0, 0.0, radii)
+        np.testing.assert_allclose(curve.ratios, exact, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("radii", [(0.4, 0.2, 0.1), (0.4, 0.003)])
+    @EXACT_PLANE_RATIOS
+    def test_slanted_plane(self, g, family, exact, radii):
+        # x = 1/2 is a left translate of the vertical plane, so mu / r^3 is
+        # exact at every radius; its preimages are slanted, with thin tips
+        patch = SurfacePatch(
+            group=g, fn=lambda U, V: np.stack([np.full_like(U, 0.5), U, V], axis=-1),
+            domain=((-1.0, 1.0), (-1.0, 1.0)))
+        curve = density_curve(patch, family(g), 0.3, -0.2, radii)
+        np.testing.assert_allclose(curve.ratios, exact, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("radii", [(0.4, 0.003), (0.4, 0.01)])
+    def test_dinf_paraboloid(self, g, radii):
+        curve = density_curve(paraboloid(g), dinf(g, c=2.0), 0.0, 0.0, radii)
+        ref = [dinf_paraboloid_origin_ratio(r) for r in radii]
+        np.testing.assert_allclose(curve.ratios, ref, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("radii", [(0.4, 0.003), (0.4, 0.01)])
+    def test_koranyi_paraboloid(self, g, radii):
+        # the ratio is beta + O(r^2), about 5e-7 above beta at r = 0.01
+        curve = density_curve(paraboloid(g), koranyi(g, gamma=16.0), 0.3, 0.2, radii)
+        assert curve.ratios[0] == pytest.approx(PARABOLOID["koranyi"][2][0], rel=1e-8)
+        assert curve.ratios[1] == pytest.approx(0.87401918476404, abs=1e-5)
+
+
 class TestGraphArea:
     def unit_region(self):
         return ((0.0, 1.0), (0.0, 1.0))
@@ -276,9 +317,10 @@ class TestSolverCounts:
         np.testing.assert_allclose(s, U.ravel() ** 2, atol=1e-12)
 
     def test_density_curve_gauge_calls(self, g, monkeypatch):
-        # per README curve: exactly one 512^2 hit grid per radius, at most 40
-        # locator probe calls, and at most 512^2 integral points, ball and
-        # density points together
+        # per README curve: exactly one 512^2 hit grid, for the first radius
+        # (the others bracket from the base point), at most 60 locator probe
+        # calls of 4 x 512 points, each refined by two calls of 4 x 64, and
+        # at most 512^2 integral points, ball and density points together
         located, integral, in_rows = [], [], [False]
         gauge, rows, density = DistanceSpec.ball_gauge, blowup._row_measures, blowup.degree3_density
 
@@ -304,9 +346,10 @@ class TestSolverCounts:
             located.clear()
             integral.clear()
             density_curve(paraboloid(g), d, *point, (0.4, 0.2, 0.1))
-            probes = [n for n in located if n != 512 * 512]
-            assert len(located) - len(probes) == 3
-            assert set(probes) == {4 * 2048} and len(probes) <= 40
+            probes, refined = located.count(4 * 512), located.count(4 * 64)
+            assert located.count(512 * 512) == 1
+            assert len(located) == 1 + probes + refined
+            assert probes <= 60 and refined == 2 * probes
             assert 0 < sum(integral) <= 512 * 512
 
     def test_gauge_matches_membership(self, g):

@@ -196,6 +196,17 @@ class TestBlowup:
         assert len(calls) == 1
         assert len(out_csv.read_text().splitlines()) == 4
 
+    def test_far_apart_radii_pass(self, tmp_path, capsys):
+        # the README dinf paraboloid; a small radius once read mu = 0 here
+        cfg = write_cfg(tmp_path, "bl.json", {
+            "group": "heisenberg1", "distance": {"family": "dinf", "params": {"c": 2}},
+            "surface": {"kind": "param",
+                        "expr": {"x": "(u*u + v*v)/4", "y": "u", "t": "v"},
+                        "domain": [[-1, 1], [-1, 1]]},
+            "point": [0, 0], "radii": [0.4, 0.01]})
+        assert run(["blowup", "--config", cfg]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
     def test_characteristic_point_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "bl.json", {
             "group": "heisenberg1", "distance": {"family": "dinf"},

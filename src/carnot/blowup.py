@@ -29,6 +29,7 @@ LOCATOR_LINE = 512
 LOCATOR_FINE = 64
 LOCATOR_LEVELS = 2
 LOCATOR_ZOOM = 8
+LOCATOR_SCAN = 16
 LOCATOR_STEPS = 32
 
 
@@ -192,20 +193,22 @@ def _probe_lines(spans, through):
     return lines
 
 
-def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines):
-    """x -> min phi - 1 on each edge's probe line at coordinate x (NaN is outside).
+def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines, along_v):
+    """x -> min phi - 1 on each probe line at coordinate x (NaN is outside).
 
-    The line's min is refined LOCATOR_LEVELS times, each on LOCATOR_FINE
-    points across the two cells around the previous argmin, so that a
-    preimage tip thinner than a line cell still reads inside.
+    Row e of `lines` holds v values at u = x[e] where along_v[e], else u
+    values at v = x[e].  The line's min is refined LOCATOR_LEVELS times,
+    each on LOCATOR_FINE points across the two cells around the previous
+    argmin, so that a preimage tip thinner than a line cell still reads
+    inside.
     """
-    along_v = (np.arange(4) < 2)[:, None]  # the u edges probe along v
-    first, last, lane = lines[:, :1], lines[:, -1:], np.arange(4)
+    along_v, lane = along_v[:, None], np.arange(len(lines))
+    first, last = lines[:, :1], lines[:, -1:]
     unit = np.linspace(-1.0, 1.0, LOCATOR_FINE)
 
     def phi(x, pts):
         U, V = np.where(along_v, x[:, None], pts), np.where(along_v, pts, x[:, None])
-        out = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(4, -1)
+        out = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(len(lane), -1)
         return np.nan_to_num(out, nan=np.inf)
 
     def gauge(x):
@@ -224,41 +227,48 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                         guess=None, n: int = 512, inside=None):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
-    One batched false-position solve moves the four edges of a search box
-    in to the ball, on the gauge min phi - 1 of LOCATOR_LINE-point probe
-    lines (`_edge_gauge`), keeping the outside end of each bracket, so only
-    a domain edge can lie inside the ball.  Each bracket runs from a box
-    edge to the extreme witness on its axis, a point known inside, and the
-    edge's probe line passes through that witness.
+    Each of the four edges of a search box moves in to the ball along the
+    gauge min phi - 1 of its LOCATOR_LINE-point probe line (`_edge_gauge`).
+    Its bracket runs from the box edge to a witness, a point known inside,
+    and its probe line passes through that witness.  LOCATOR_SCAN + 1
+    evenly spaced gauge samples from the edge to the witness find the
+    first one that reads inside, and one batched false-position solve
+    closes every bracket between that sample and the one before it,
+    keeping the outside end, so only a domain edge can lie inside the ball.
 
     With `inside`, a parameter point in the preimage, and a `guess` that
-    contains the preimage, the guess is the search box, probed across its
-    whole width, and `inside` the witness of every edge.  Otherwise an
-    n x n hit grid on `guess` clipped to the domain, or on the domain when
-    there is no guess, gives the witnesses, with `inside` among them, and
-    the probe lines span the hits widened by one grid cell.  With `inside`,
-    a box that leaves its probe lines' span, or is under 1/LOCATOR_ZOOM of
-    it, is probed again on itself widened by its width on each side, each
-    new edge pushed out from `inside` until it reads outside.  A guess that
-    misses the ball, or whose interior edge still meets it, gives way to
-    the domain search.  Returns (box, touches_domain_boundary), or
-    (None, False) when the ball misses the patch.  Without `inside`, the
-    domain grid can overlook regions much thinner than a cell.
+    contains the preimage (`inside` in its interior at least), the guess is
+    the search box, probed across its whole width, and `inside` the witness
+    of every edge.  Otherwise an
+    n x n hit grid on the domain gives the witnesses, with `inside` among
+    them, and the probe lines span the hits widened by one grid cell.  With
+    `inside`, a box that leaves its probe lines' span, or is under
+    1/LOCATOR_ZOOM of it, is probed again on itself widened by its width
+    on each side, each new edge pushed out from `inside` until it reads
+    outside.  A guess whose edge meets the ball gives way to the domain
+    search.  Returns (box, touches_domain_boundary), or (None, False) when
+    the ball misses the patch.  The domain grid can overlook regions much
+    thinner than a cell, and the scan a part of the preimage that does not
+    reach the witness's part and spans less than 1/LOCATOR_SCAN of a
+    bracket along its edge's axis.
     """
-    dom = patch.domain
-    box = dom if guess is None else tuple(
-        (max(float(lo), dlo), min(float(hi), dhi)) for (lo, hi), (dlo, dhi) in zip(guess, dom))
-    outer = np.array(box)
+    dom, outer = patch.domain, None
     if guess is not None and inside is not None:
+        outer = np.array([(max(float(lo), dlo), min(float(hi), dhi))
+                          for (lo, hi), (dlo, dhi) in zip(guess, dom)])
+        if not np.all((outer[:, 0] < inside) & (inside < outer[:, 1])):
+            outer = None  # the guess misses part of the preimage
+    if outer is not None:
         hits, span = np.array([inside], dtype=float), outer
     else:
-        U, V, _ = _midpoint_grid(box, n)
+        outer = np.array(dom)
+        U, V, _ = _midpoint_grid(dom, n)
         hit = d.ball_contains(center, r, patch.points(U, V))
         hits = np.stack([U[hit], V[hit]], axis=1)
         if inside is not None:
             hits = np.vstack([hits, np.asarray(inside, dtype=float)])
         if not len(hits):
-            return (None, False) if guess is None else _param_bounding_box(patch, d, center, r, n=n)
+            return None, False
         cell = np.diff(outer, axis=1)[:, 0] / n
         span = np.stack([np.maximum(outer[:, 0], hits.min(axis=0) - cell),
                          np.minimum(outer[:, 1], hits.max(axis=0) + cell)], axis=1)
@@ -269,19 +279,29 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
     edges, dom_edges = outer.ravel(), np.ravel(dom)
     tol = 1e-12 * np.repeat(np.maximum(1.0, np.abs(outer).sum(axis=1)), 2)
     lo_edges, hi_edges = outer[across, 0], outer[across, 1]
+    rows, frac = np.repeat(np.arange(4), LOCATOR_SCAN + 1), np.linspace(0.0, 1.0, LOCATOR_SCAN + 1)
     probe = edges
     for _ in range(LOCATOR_STEPS):
-        gauge = _edge_gauge(patch, d, center, r, _probe_lines(span[along], through))
-        g_edge = gauge(probe)
-        cut = ~(g_edge > 0.0) & (probe != dom_edges)
+        lines = _probe_lines(span[along], through)
+        xs = probe[:, None] + (ends - probe)[:, None] * frac
+        xs[:, -1] = ends
+        G = _edge_gauge(patch, d, center, r, lines[rows], along[rows] == 1)(xs.ravel())
+        G = G.reshape(xs.shape)
+        cut = ~(G[:, 0] > 0.0) & (probe != dom_edges)
         if np.any(cut & (probe == edges)):  # the guess cuts the preimage
             return _param_bounding_box(patch, d, center, r, n=n, inside=inside)
         if np.any(cut):  # a widened edge still inside moves 4x as far from `inside`
             probe = np.clip(np.where(cut, ends + 4.0 * (probe - ends), probe), lo_edges, hi_edges)
             span = probe.reshape(2, 2)
             continue
-        meets = ~(g_edge > 0.0)
-        lo, _ = false_position(gauge, probe, np.where(meets, probe, ends), tol, 50, g_lo=g_edge)
+        reads_in = ~(G > 0.0)
+        reads_in[:, -1] = True  # the witness
+        k = np.argmax(reads_in, axis=1)
+        meets, lane = k == 0, np.arange(4)
+        k_out = np.maximum(k - 1, 0)
+        gauge = _edge_gauge(patch, d, center, r, lines, along == 1)
+        lo, _ = false_position(gauge, xs[lane, k_out], xs[lane, k], tol, 50,
+                               G[lane, k_out], G[lane, k])
         found = lo.reshape(2, 2)
         width = np.diff(found, axis=1)[:, 0]
         if inside is None or np.all((found[:, 0] >= span[:, 0]) & (found[:, 1] <= span[:, 1])
@@ -295,14 +315,16 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
     return (tuple(lo[:2].tolist()), tuple(lo[2:].tolist())), bool(np.any(meets))
 
 
-def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim, rule):
+def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
     """Degree-3 measure inside B(center, r) of each row u, v in v_lim.
 
     A 32-point scan brackets the inside v-intervals (rows with none are
     rescanned near their gauge min, up to 8 times), one false-position solve
-    moves all brackets to the ball, and the Gauss-Legendre `rule` (nodes,
-    weights) on (-1, 1) sums the density on each interval.
+    moves all brackets to the ball, and 16-node Gauss-Legendre sums the
+    density on each interval.
     """
+    from .factor import _gl_rule
+
     def gauge(U, V):
         return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf) - 1.0
 
@@ -326,7 +348,7 @@ def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim, rul
     lo, hi = false_position(lambda x: gauge(u[rows], x), V[rows, j_out], V[rows, j_in],
                             1e-12 * (v_lim[1] - v_lim[0]), 60, G[rows, j_out], G[rows, j_in])
     a, b = np.split(0.5 * (lo + hi), 2)
-    x, w = rule
+    x, w = _gl_rule(16)
     vq = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
     dens = degree3_density(patch, np.repeat(u[rs], len(x)), vq.ravel()).reshape(vq.shape)
     return np.bincount(rs, weights=0.5 * (b - a) * (dens @ w), minlength=len(u))
@@ -343,19 +365,22 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
     GL_NODES node sums differ by more than MU_RTOL of the total is cut in
     MU_SPLIT, while there are at most MU_MAX_PANELS panels.
 
-    Without `inside`, an n_grid x n_grid hit grid on `box_guess`, or on the
-    domain, locates the preimage, and a preimage thinner than a grid cell
-    can read 0.  `inside` is a parameter point (u, v) whose image lies in
-    the ball, such as the preimage of `center`: the domain grid then counts
-    it as a hit, and a `box_guess` that contains the preimage is bracketed
-    from it with no grid at all.  A guess that misses the ball or cuts the
-    preimage is not used.
+    An n_grid x n_grid hit grid on the domain locates the preimage, and
+    without `inside` a preimage thinner than a grid cell can read 0.
+    `inside` is a parameter point (u, v) whose image lies in the ball, such
+    as the preimage of `center`; a ValueError is raised if it does not.
+    The domain grid counts it as a hit, and a `box_guess` that contains the
+    preimage is bracketed from it with no grid at all.  A guess that cuts
+    the preimage, or comes without `inside`, is not used.
     """
-    from .factor import GL_NODES, _gl_rule, _gl_sin_rule
+    from .factor import GL_NODES, _gl_sin_rule
 
     if not 0.0 < r < np.inf:
         raise ValueError(f"radius must be positive and finite, got {r}")
     center = np.asarray(center, dtype=float)
+    if inside is not None and not d.ball_contains(
+            center, r, patch.points(*np.reshape(inside, (2, 1))))[0]:
+        raise ValueError(f"inside point {tuple(inside)} does not map into B(center, {r})")
     box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess, n=n_grid,
                                          inside=inside)
     if box is None:
@@ -367,7 +392,7 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
     while True:
         mid, half = panels.mean(axis=1)[:, None], 0.5 * np.diff(panels, axis=1)
         u = [(mid + half * x).ravel() for x, _ in rules]
-        f = np.split(_row_measures(patch, d, center, r, np.concatenate(u), box[1], _gl_rule(16)),
+        f = np.split(_row_measures(patch, d, center, r, np.concatenate(u), box[1]),
                      [u[0].size])
         q_n, q_2n = (half[:, 0] * (fi.reshape(len(panels), -1) @ w) for fi, (_, w) in zip(f, rules))
         total = kept + float(np.sum(q_2n))
@@ -395,7 +420,9 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
     walks the radii downward with the base point (u, v) as its `inside`
     point.  The largest radius runs the n_grid x n_grid domain search; each
     tight box is the guess for the next radius, which the locator brackets
-    from (u, v) with no hit grid, however far apart the radii are.
+    from (u, v) with no hit grid, however far apart the radii are.  There a
+    part of the preimage that does not reach the base point's part is kept
+    when it spans more than 1/LOCATOR_SCAN of an edge's bracket.
     """
     radii = sorted((float(r) for r in radii), reverse=True)
     if len(radii) < 1 or radii[-1] <= 0 or len(set(radii)) < len(radii):

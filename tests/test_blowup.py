@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from carnot import blowup
@@ -136,6 +137,19 @@ class TestMuMeasure:
             mu_measure(vertical_plane(g), dinf(g), g.zero(), r)
 
 
+    def test_inside_point_outside_ball(self, g):
+        with pytest.raises(ValueError, match="inside point"):
+            mu_measure(vertical_plane(g), dinf(g), g.zero(), 0.3, inside=(0.5, 0.0))
+
+    @pytest.mark.parametrize("family", [dinf, koranyi])
+    def test_guess_without_inside_point_ignored(self, g, family):
+        patch, d = paraboloid(g), family(g)
+        blind = mu_measure(patch, d, g.zero(), 0.3, inside=(0.0, 0.0))
+        est = mu_measure(patch, d, g.zero(), 0.3, box_guess=((0.6, 0.9), (0.6, 0.9)),
+                         inside=(0.0, 0.0))
+        assert est == blind
+
+
 class TestBoundaryFittedMu:
     """Exact references for mu on a tilted preimage with corners and a clipped one."""
 
@@ -229,6 +243,35 @@ EXACT_PLANE_RATIOS = pytest.mark.parametrize("family, exact", [
 ], ids=["dinf", "koranyi"])
 
 
+def folded_patch(g):
+    """x = u/100, y = u^2, t = v: two arms 1/100 apart in x, joined at u = 0."""
+    return SurfacePatch(
+        group=g, fn=lambda U, V: np.stack([0.01 * U, U ** 2, V], axis=-1),
+        domain=((-1.0, 1.0), (-1.0, 1.0)))
+
+
+def folded_patch_ratio(r, family):
+    """mu(B(p, r)) / r^3 on `folded_patch` at p = (0.005, 0.25, 0), without carnot.
+
+    In p^-1 q the horizontal part (0.01 u - 0.005, u^2 - 1/4) depends on u
+    alone, so the preimage is a band of v-rows over the u where its length
+    h(u) <= r, one interval per arm once r < 1/4; the rows have height r^2/2
+    under dinf(c=2) and sqrt(r^4 - h^4)/2 under koranyi(16), and the density
+    is hypot(0.01, 2u).  scipy quad integrates each interval.
+    """
+    quartic = np.poly1d([1.0, 0.0, -0.4999, -1e-4, 0.0625 + 2.5e-5 - r * r])  # h^2 - r^2
+    roots = np.sort(quartic.roots[np.abs(quartic.roots.imag) < 1e-12].real)
+    total = 0.0
+    for a, b in zip(roots[:-1], roots[1:]):
+        if quartic(0.5 * (a + b)) < 0.0:
+            def row(u):
+                h4 = ((0.01 * u - 0.005) ** 2 + (u * u - 0.25) ** 2) ** 2
+                height = r * r / 2.0 if family == "dinf" else 0.5 * np.sqrt(max(r ** 4 - h4, 0.0))
+                return height * np.hypot(0.01, 2.0 * u)
+            total += quad(row, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total / r ** 3
+
+
 class TestWideRatios:
     """Radii far apart, or all small: every ratio meets its exact value."""
 
@@ -261,6 +304,22 @@ class TestWideRatios:
         curve = density_curve(paraboloid(g), koranyi(g, gamma=16.0), 0.3, 0.2, radii)
         assert curve.ratios[0] == pytest.approx(PARABOLOID["koranyi"][2][0], rel=1e-8)
         assert curve.ratios[1] == pytest.approx(0.87401918476404, abs=1e-5)
+
+
+    @pytest.mark.parametrize("family, rtol", [
+        # under dinf each arm's row measure jumps to 0 at its inner end,
+        # which the u-panels resolve to about 4e-6 (both arms read 2e-6 off)
+        (lambda g: dinf(g, c=2.0), 1e-5),
+        (lambda g: koranyi(g, gamma=16.0), 1e-8),
+    ], ids=["dinf", "koranyi"])
+    def test_split_preimage(self, g, family, rtol):
+        # the preimage is joined through the fold at r = 0.4 and splits in
+        # two arms at the smaller radii; the bracket of the u0 edge crosses
+        # the far arm and the gap between the arms
+        curve = density_curve(folded_patch(g), family(g), 0.5, 0.0, (0.4, 0.2, 0.05))
+        ref = [folded_patch_ratio(r, family(g).name.split("(")[0]) for r in curve.radii]
+        assert min(ref[1:]) > 1.7  # both arms count
+        np.testing.assert_allclose(curve.ratios, ref, rtol=rtol, atol=0)
 
 
 class TestGraphArea:
@@ -318,9 +377,11 @@ class TestSolverCounts:
 
     def test_density_curve_gauge_calls(self, g, monkeypatch):
         # per README curve: exactly one 512^2 hit grid, for the first radius
-        # (the others bracket from the base point), at most 60 locator probe
-        # calls of 4 x 512 points, each refined by two calls of 4 x 64, and
-        # at most 512^2 integral points, ball and density points together
+        # (the others bracket from the base point), one check of the base
+        # point per radius, at most 6 edge scans of 4 x 17 lines and at most
+        # 30 probe calls of 4 lines, each line of 512 points and refined by
+        # two calls of 64 points a line, and at most 512^2 integral points,
+        # ball and density points together
         located, integral, in_rows = [], [], [False]
         gauge, rows, density = DistanceSpec.ball_gauge, blowup._row_measures, blowup.degree3_density
 
@@ -346,10 +407,11 @@ class TestSolverCounts:
             located.clear()
             integral.clear()
             density_curve(paraboloid(g), d, *point, (0.4, 0.2, 0.1))
-            probes, refined = located.count(4 * 512), located.count(4 * 64)
-            assert located.count(512 * 512) == 1
-            assert len(located) == 1 + probes + refined
-            assert probes <= 60 and refined == 2 * probes
+            scans, probes = located.count(4 * 17 * 512), located.count(4 * 512)
+            refined = located.count(4 * 17 * 64) + located.count(4 * 64)
+            assert located.count(512 * 512) == 1 and located.count(1) == 3
+            assert len(located) == 4 + scans + probes + refined
+            assert scans <= 6 and probes <= 30 and refined == 2 * (scans + probes)
             assert 0 < sum(integral) <= 512 * 512
 
     def test_gauge_matches_membership(self, g):

@@ -95,7 +95,6 @@ class DensityCurve:
 class MuEstimate:
     value: float
     truncated: bool
-    box: Optional[tuple]  # the parameter rectangle integrated, None on a miss
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,22 @@ def _probe_lines(spans, through):
     return lines
 
 
+def _patch_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, U, V):
+    """ball_gauge of the patch's images at (U, V), a NaN image read as +inf (outside)."""
+    return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf)
+
+
+def _base_point(patch: SurfacePatch, u, v):
+    """Image p of (u, v), the ball center; refused off the domain or if not finite."""
+    (u0, u1), (v0, v1) = patch.domain
+    if not (u0 <= u <= u1 and v0 <= v <= v1):
+        raise ConfigurationError(f"point ({u}, {v}) lies outside the domain {patch.domain}")
+    p = patch.points(np.asarray([u]), np.asarray([v]))[0]
+    if not np.all(np.isfinite(p)):
+        raise ConfigurationError(f"point ({u}, {v}) maps to a non-finite point {p.tolist()}")
+    return p
+
+
 def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines, along_v):
     """x -> min phi - 1 on each probe line at coordinate x (NaN is outside).
 
@@ -208,8 +223,7 @@ def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines, along_v)
 
     def phi(x, pts):
         U, V = np.where(along_v, x[:, None], pts), np.where(along_v, pts, x[:, None])
-        out = d.ball_gauge(center, r, patch.points(U.ravel(), V.ravel())).reshape(len(lane), -1)
-        return np.nan_to_num(out, nan=np.inf)
+        return _patch_gauge(patch, d, center, r, U.ravel(), V.ravel()).reshape(len(lane), -1)
 
     def gauge(x):
         pts, cell, best = lines, (last - first) / (lines.shape[1] - 1), np.inf
@@ -223,64 +237,48 @@ def _edge_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, lines, along_v)
     return gauge
 
 
-def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
-                        guess=None, n: int = 512, inside=None):
+def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
+                        search=None, n: int = 512):
     """Tight parameter rectangle containing the preimage of B(center, r).
 
-    Each of the four edges of a search box moves in to the ball along the
-    gauge min phi - 1 of its LOCATOR_LINE-point probe line (`_edge_gauge`).
-    Its bracket runs from the box edge to a witness, a point known inside,
-    and its probe line passes through that witness.  LOCATOR_SCAN + 1
-    evenly spaced gauge samples from the edge to the witness find the
-    first one that reads inside, and one batched false-position solve
-    closes every bracket between that sample and the one before it,
-    keeping the outside end, so only a domain edge can lie inside the ball.
-
-    With `inside`, a parameter point in the preimage, and a `guess` that
-    contains the preimage (`inside` in its interior at least), the guess is
-    the search box, probed across its whole width, and `inside` the witness
-    of every edge.  Otherwise an
-    n x n hit grid on the domain gives the witnesses, with `inside` among
-    them, and the probe lines span the hits widened by one grid cell.  With
-    `inside`, a box that leaves its probe lines' span, or is under
-    1/LOCATOR_ZOOM of it, is probed again on itself widened by its width
-    on each side, each new edge pushed out from `inside` until it reads
-    outside.  A guess whose edge meets the ball gives way to the domain
-    search.  Returns (box, touches_domain_boundary), or (None, False) when
-    the ball misses the patch.  The domain grid can overlook regions much
-    thinner than a cell, and the scan a part of the preimage that does not
-    reach the witness's part and spans less than 1/LOCATOR_SCAN of a
-    bracket along its edge's axis.
+    `inside` maps into the ball, e.g. the base point that maps to `center`.
+    Each edge of a search box moves in to the ball along the gauge min
+    phi - 1 of its LOCATOR_LINE-point probe line (`_edge_gauge`), which
+    passes through the edge's witness, a point known inside.
+    LOCATOR_SCAN + 1 evenly spaced samples from the edge to the witness
+    find the first that reads inside, and one batched false-position solve
+    closes every bracket between it and the sample before, keeping the
+    outside end.  Without `search` an n x n hit grid on the domain gives
+    the witnesses, `inside` among them, and the probe lines span the hits
+    widened by a cell; with it `inside` witnesses every edge and the lines
+    span `search`.  An edge off the domain boundary that reads inside moves
+    4x as far from its witness, clipped to the domain.  A box that leaves
+    its lines' span, or is under 1/LOCATOR_ZOOM of it, is probed again on
+    itself widened by its width on each side, from `inside`.  Returns
+    (box, touches_domain_boundary).  The grid can miss a part of the
+    preimage much thinner than a cell away from `inside`, and the scan one
+    away from the witness's part spanning under 1/LOCATOR_SCAN of a bracket.
     """
-    dom, outer = patch.domain, None
-    if guess is not None and inside is not None:
-        outer = np.array([(max(float(lo), dlo), min(float(hi), dhi))
-                          for (lo, hi), (dlo, dhi) in zip(guess, dom)])
-        if not np.all((outer[:, 0] < inside) & (inside < outer[:, 1])):
-            outer = None  # the guess misses part of the preimage
-    if outer is not None:
-        hits, span = np.array([inside], dtype=float), outer
+    dom, inside = np.array(patch.domain), np.asarray(inside, dtype=float)
+    if search is None:
+        outer = dom
+        U, V, _ = _midpoint_grid(patch.domain, n)
+        hit = d.ball_contains(center, r, patch.points(U, V))  # NaN is outside
+        hits = np.vstack([np.stack([U[hit], V[hit]], axis=1), inside])
+        cell = np.diff(dom, axis=1)[:, 0] / n
+        span = np.stack([np.maximum(dom[:, 0], hits.min(axis=0) - cell),
+                         np.minimum(dom[:, 1], hits.max(axis=0) + cell)], axis=1)
     else:
-        outer = np.array(dom)
-        U, V, _ = _midpoint_grid(dom, n)
-        hit = d.ball_contains(center, r, patch.points(U, V))
-        hits = np.stack([U[hit], V[hit]], axis=1)
-        if inside is not None:
-            hits = np.vstack([hits, np.asarray(inside, dtype=float)])
-        if not len(hits):
-            return None, False
-        cell = np.diff(outer, axis=1)[:, 0] / n
-        span = np.stack([np.maximum(outer[:, 0], hits.min(axis=0) - cell),
-                         np.minimum(outer[:, 1], hits.max(axis=0) + cell)], axis=1)
+        outer = np.array(search, dtype=float)
+        hits, span = inside[None, :], outer
     witness = hits[[np.argmin(hits[:, 0]), np.argmax(hits[:, 0]),
                     np.argmin(hits[:, 1]), np.argmax(hits[:, 1])]]
     along, across = np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])  # axis of line, of edge
     ends, through = witness[np.arange(4), across], witness[np.arange(4), along]
-    edges, dom_edges = outer.ravel(), np.ravel(dom)
+    dom_edges, lo_edges, hi_edges = dom.ravel(), dom[across, 0], dom[across, 1]
     tol = 1e-12 * np.repeat(np.maximum(1.0, np.abs(outer).sum(axis=1)), 2)
-    lo_edges, hi_edges = outer[across, 0], outer[across, 1]
     rows, frac = np.repeat(np.arange(4), LOCATOR_SCAN + 1), np.linspace(0.0, 1.0, LOCATOR_SCAN + 1)
-    probe = edges
+    probe = outer.ravel()
     for _ in range(LOCATOR_STEPS):
         lines = _probe_lines(span[along], through)
         xs = probe[:, None] + (ends - probe)[:, None] * frac
@@ -288,9 +286,7 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
         G = _edge_gauge(patch, d, center, r, lines[rows], along[rows] == 1)(xs.ravel())
         G = G.reshape(xs.shape)
         cut = ~(G[:, 0] > 0.0) & (probe != dom_edges)
-        if np.any(cut & (probe == edges)):  # the guess cuts the preimage
-            return _param_bounding_box(patch, d, center, r, n=n, inside=inside)
-        if np.any(cut):  # a widened edge still inside moves 4x as far from `inside`
+        if np.any(cut):  # an edge inside the ball moves 4x as far from its witness
             probe = np.clip(np.where(cut, ends + 4.0 * (probe - ends), probe), lo_edges, hi_edges)
             span = probe.reshape(2, 2)
             continue
@@ -304,12 +300,11 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r,
                                G[lane, k_out], G[lane, k])
         found = lo.reshape(2, 2)
         width = np.diff(found, axis=1)[:, 0]
-        if inside is None or np.all((found[:, 0] >= span[:, 0]) & (found[:, 1] <= span[:, 1])
-                                    & (LOCATOR_ZOOM * width >= np.diff(span, axis=1)[:, 0])):
+        if np.all((found[:, 0] >= span[:, 0]) & (found[:, 1] <= span[:, 1])
+                  & (LOCATOR_ZOOM * width >= np.diff(span, axis=1)[:, 0])):
             break
         # probe again on the box widened by its width on each side
-        witness = np.tile(np.asarray(inside, dtype=float), (4, 1))
-        ends, through = witness[np.arange(4), across], witness[np.arange(4), along]
+        ends, through = inside[across], inside[along]
         probe = np.clip((found + width[:, None] * [-1.0, 1.0]).ravel(), lo_edges, hi_edges)
         span = probe.reshape(2, 2)
     return (tuple(lo[:2].tolist()), tuple(lo[2:].tolist())), bool(np.any(meets))
@@ -326,7 +321,7 @@ def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
     from .factor import _gl_rule
 
     def gauge(U, V):
-        return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf) - 1.0
+        return _patch_gauge(patch, d, center, r, U, V) - 1.0
 
     n_scan = 32
     V = np.tile(np.linspace(*v_lim, n_scan), (len(u), 1))
@@ -354,37 +349,16 @@ def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
     return np.bincount(rs, weights=0.5 * (b - a) * (dens @ w), minlength=len(u))
 
 
-def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
-               n_grid: int = 512, box_guess=None, inside=None) -> MuEstimate:
-    """Degree-3 surface measure of the patch inside B(center, r).
+def _box_measure(patch: SurfacePatch, d: DistanceSpec, center, r, box) -> float:
+    """Degree-3 measure inside B(center, r) of the patch over the parameter `box`.
 
-    `_param_bounding_box` finds a tight parameter box of the ball preimage;
-    `truncated` is set when the ball reaches the patch boundary.  Sin-mapped
-    Gauss-Legendre rows in u, on panels graded toward both ends of the box,
-    sum the row measures of `_row_measures`.  A panel whose GL_NODES / 2 and
-    GL_NODES node sums differ by more than MU_RTOL of the total is cut in
-    MU_SPLIT, while there are at most MU_MAX_PANELS panels.
-
-    An n_grid x n_grid hit grid on the domain locates the preimage, and
-    without `inside` a preimage thinner than a grid cell can read 0.
-    `inside` is a parameter point (u, v) whose image lies in the ball, such
-    as the preimage of `center`; a ValueError is raised if it does not.
-    The domain grid counts it as a hit, and a `box_guess` that contains the
-    preimage is bracketed from it with no grid at all.  A guess that cuts
-    the preimage, or comes without `inside`, is not used.
+    Sin-mapped Gauss-Legendre rows in u, on panels graded toward both ends
+    of the box, sum the row measures of `_row_measures`.  A panel whose
+    GL_NODES / 2 and GL_NODES node sums differ by more than MU_RTOL of the
+    total is cut in MU_SPLIT, while there are at most MU_MAX_PANELS panels.
     """
     from .factor import GL_NODES, _gl_sin_rule
 
-    if not 0.0 < r < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {r}")
-    center = np.asarray(center, dtype=float)
-    if inside is not None and not d.ball_contains(
-            center, r, patch.points(*np.reshape(inside, (2, 1))))[0]:
-        raise ValueError(f"inside point {tuple(inside)} does not map into B(center, {r})")
-    box, truncated = _param_bounding_box(patch, d, center, r, guess=box_guess, n=n_grid,
-                                         inside=inside)
-    if box is None:
-        return MuEstimate(value=0.0, truncated=False, box=None)
     grade = np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2])
     cuts = np.interp(np.concatenate([grade, 1.0 - grade[::-1]]), [0.0, 1.0], box[0])
     panels, kept, n_panels = np.stack([cuts[:-1], cuts[1:]], axis=1), 0.0, len(cuts) - 1
@@ -399,10 +373,27 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, center, r,
         split = np.abs(q_2n - q_n) > MU_RTOL * abs(total)
         n_panels += (MU_SPLIT - 1) * np.count_nonzero(split)
         if not np.any(split) or n_panels > MU_MAX_PANELS:
-            return MuEstimate(value=total, truncated=truncated, box=box)
+            return total
         kept += float(np.sum(q_2n[~split]))
         cut = np.linspace(*panels[split].T, MU_SPLIT + 1, axis=1)
         panels = np.stack([cut[:, :-1].ravel(), cut[:, 1:].ravel()], axis=1)
+
+
+def mu_measure(patch: SurfacePatch, d: DistanceSpec, u, v, r,
+               n_grid: int = 512) -> MuEstimate:
+    """Degree-3 surface measure of the patch inside B(p, r), p the image of (u, v).
+
+    An n_grid x n_grid hit grid on the domain, (u, v) counted as a hit,
+    locates the preimage box (`_param_bounding_box`) that `_box_measure`
+    integrates; `truncated` is set when the ball reaches the patch boundary.
+    A base point off the domain or with a non-finite image raises
+    ConfigurationError.
+    """
+    center = _base_point(patch, u, v)
+    if not 0.0 < r < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {r}")
+    box, truncated = _param_bounding_box(patch, d, center, r, (u, v), n=n_grid)
+    return MuEstimate(value=_box_measure(patch, d, center, r, box), truncated=truncated)
 
 
 def surface_measure_total(patch: SurfacePatch, n_grid: int = 512) -> float:
@@ -416,29 +407,27 @@ def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
     """Ratios mu(B(p, r)) / r^3 and their linear-in-r extrapolation to 0.
 
     Requires a degree-3 base point and distinct radii; the limit is the
-    intercept of a linear fit over the three smallest radii.  `mu_measure`
-    walks the radii downward with the base point (u, v) as its `inside`
-    point.  The largest radius runs the n_grid x n_grid domain search; each
-    tight box is the guess for the next radius, which the locator brackets
-    from (u, v) with no hit grid, however far apart the radii are.  There a
-    part of the preimage that does not reach the base point's part is kept
-    when it spans more than 1/LOCATOR_SCAN of an edge's bracket.
+    intercept of a linear fit over the three smallest radii.  Each ball is
+    centred at the image p of (u, v), and the radii are walked downward:
+    the largest locates its preimage box as `mu_measure` does, and each
+    smaller one brackets its edges from (u, v) across the previous box with
+    no hit grid, however far apart the radii are.  There a part of the
+    preimage away from the base point's part is kept when it spans more
+    than 1/LOCATOR_SCAN of an edge's bracket.
     """
+    p = _base_point(patch, u, v)
     radii = sorted((float(r) for r in radii), reverse=True)
-    if len(radii) < 1 or radii[-1] <= 0 or len(set(radii)) < len(radii):
-        raise ValueError(f"radii must be positive and distinct, got {radii}")
-    rep = homogeneous_tangent(patch, u, v)
-    if rep.degree != 3:
+    if not radii or not all(0.0 < r < np.inf for r in radii) or len(set(radii)) < len(radii):
+        raise ValueError(f"radii must be positive, finite and distinct, got {radii}")
+    if homogeneous_tangent(patch, u, v).degree != 3:
         raise ValueError(
             "base point is characteristic (degree 2); the blow-up identity "
             "only applies at points of maximal degree")
-    p, ratios, truncated, box = rep.point, [], False, None
+    ratios, truncated, box = [], False, None
     for r in radii:
-        mu = mu_measure(patch, d, p, r, n_grid=n_grid, box_guess=box, inside=(u, v))
-        if mu.box is not None:
-            box = mu.box
-        truncated = truncated or mu.truncated
-        ratios.append(mu.value / r ** 3)
+        box, meets = _param_bounding_box(patch, d, p, r, (u, v), search=box, n=n_grid)
+        truncated = truncated or meets
+        ratios.append(_box_measure(patch, d, p, r, box) / r ** 3)
     rs = np.array(radii[-3:])
     ys = np.array(ratios[-3:])
     if len(rs) >= 2:

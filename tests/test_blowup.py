@@ -112,42 +112,41 @@ class TestMuMeasure:
         patch = vertical_plane(g)
         for c in (2.0, 1.5):
             d = dinf(g, c=c)
-            for r in (0.4, 0.1):
-                est = mu_measure(patch, d, g.zero(), r)
+            # at r = 0.02 the preimage is thinner than a cell of the domain grid
+            for r in (0.4, 0.1, 0.02):
+                est = mu_measure(patch, d, 0.0, 0.0, r)
                 assert est.value == pytest.approx((4.0 / c ** 2) * r ** 3, rel=1e-6)
                 assert not est.truncated
 
     def test_truncation_flag(self, g):
         patch = vertical_plane(g)
-        est = mu_measure(patch, dinf(g), g.zero(), 1.5)
+        est = mu_measure(patch, dinf(g), 0.0, 0.0, 1.5)
         assert est.truncated
-
-    def test_far_center_zero(self, g):
-        patch = vertical_plane(g)
-        est = mu_measure(patch, dinf(g), np.array([4.0, 0.0, 0.0]), 0.5)
-        assert est.value == 0.0
 
     def test_invalid_radius(self, g):
         with pytest.raises(ValueError):
-            mu_measure(vertical_plane(g), dinf(g), g.zero(), 0.0)
+            mu_measure(vertical_plane(g), dinf(g), 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("r", [np.nan, np.inf])
     def test_non_finite_radius(self, g, r):
         with pytest.raises(ValueError, match="radius"):
-            mu_measure(vertical_plane(g), dinf(g), g.zero(), r)
+            mu_measure(vertical_plane(g), dinf(g), 0.0, 0.0, r)
 
+    @pytest.mark.parametrize("point, cause", [
+        ((1.5, 0.0), "outside the domain"),
+        ((-0.5, 0.0), "non-finite"),
+    ], ids=["outside-domain", "image-nan"])
+    def test_bad_base_point_refused(self, g, point, cause):
+        # the plane's points are NaN below u = -0.25, and (1.5, 0) lies beyond u = 1
+        def fn(U, V):
+            p = np.stack([np.zeros_like(U), U, V], axis=-1)
+            return np.where((U < -0.25)[..., None], np.nan, p)
 
-    def test_inside_point_outside_ball(self, g):
-        with pytest.raises(ValueError, match="inside point"):
-            mu_measure(vertical_plane(g), dinf(g), g.zero(), 0.3, inside=(0.5, 0.0))
-
-    @pytest.mark.parametrize("family", [dinf, koranyi])
-    def test_guess_without_inside_point_ignored(self, g, family):
-        patch, d = paraboloid(g), family(g)
-        blind = mu_measure(patch, d, g.zero(), 0.3, inside=(0.0, 0.0))
-        est = mu_measure(patch, d, g.zero(), 0.3, box_guess=((0.6, 0.9), (0.6, 0.9)),
-                         inside=(0.0, 0.0))
-        assert est == blind
+        patch = SurfacePatch(group=g, fn=fn, domain=((-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(ConfigurationError, match=cause):
+            mu_measure(patch, dinf(g), *point, 0.2)
+        with pytest.raises(ConfigurationError, match=cause):
+            density_curve(patch, dinf(g), *point, (0.4, 0.2, 0.1))
 
 
 class TestBoundaryFittedMu:
@@ -156,8 +155,7 @@ class TestBoundaryFittedMu:
     def test_dinf_off_origin(self, g):
         # two independent quadratures agree on this ratio to 5e-12
         patch = paraboloid(g)
-        p = patch.points(np.array([0.3]), np.array([0.2]))[0]
-        est = mu_measure(patch, dinf(g, c=2.0), p, 0.2)
+        est = mu_measure(patch, dinf(g, c=2.0), 0.3, 0.2, 0.2)
         assert est.value / 0.2 ** 3 == pytest.approx(1.0003059333072861, abs=1e-8)
 
     def test_clipped_dinf_plane(self, g):
@@ -165,7 +163,7 @@ class TestBoundaryFittedMu:
         patch = SurfacePatch(
             group=g, fn=lambda U, V: np.stack([np.zeros_like(U), U, V], axis=-1),
             domain=((-0.2, 1.0), (-1.0, 1.0)))
-        est = mu_measure(patch, dinf(g, c=2.0), g.zero(), 0.4)
+        est = mu_measure(patch, dinf(g, c=2.0), 0.0, 0.0, 0.4)
         assert est.truncated
         assert est.value == pytest.approx(0.6 * 2.0 * 0.4 ** 2 / 2.0 ** 2, rel=1e-12, abs=0)
 
@@ -181,18 +179,20 @@ class TestBoundaryFittedMu:
 
 
 class TestLocator:
-    """A box_guess must contain the preimage; any other guess is ignored."""
+    """A search box that cuts the preimage is pushed out to the domain search's box."""
 
-    @pytest.mark.parametrize("guess", [
-        ((0.6, 0.9), (0.6, 0.9)),    # misses the ball
-        ((-0.1, 0.9), (-0.9, 0.9)),  # interior edge u = -0.1 cuts the preimage
-    ])
+    @pytest.mark.parametrize("search", [
+        ((-0.1, 0.9), (-0.9, 0.9)),    # interior edge u = -0.1 cuts the preimage
+        ((-0.1, 0.1), (-0.01, 0.01)),  # every edge cuts it
+    ], ids=["one-edge", "every-edge"])
     @pytest.mark.parametrize("family", [dinf, koranyi])
-    def test_bad_guess_gives_domain_search(self, g, guess, family):
+    def test_search_cutting_preimage(self, g, search, family):
+        # the preimage spans |u| < 0.3, |v| <= 0.0225 at r = 0.3
         patch, d = paraboloid(g), family(g)
-        blind = mu_measure(patch, d, g.zero(), 0.3)
-        est = mu_measure(patch, d, g.zero(), 0.3, box_guess=guess)
-        assert est == blind
+        blind, blind_touches = _param_bounding_box(patch, d, g.zero(), 0.3, (0.0, 0.0))
+        box, touches = _param_bounding_box(patch, d, g.zero(), 0.3, (0.0, 0.0), search=search)
+        np.testing.assert_allclose(box, blind, rtol=0, atol=1e-10)
+        assert not (touches or blind_touches)
 
     @pytest.mark.parametrize("half", [1.0, 4.0])
     def test_vertical_plane_without_guess(self, g, half):
@@ -203,7 +203,7 @@ class TestLocator:
             domain=((-half, half), (-half, half)))
         for c in (2.0, 1.5):
             for r in (0.5, 0.3):
-                est = mu_measure(patch, dinf(g, c=c), g.zero(), r)
+                est = mu_measure(patch, dinf(g, c=c), 0.0, 0.0, r)
                 assert est.value == pytest.approx((4.0 / c ** 2) * r ** 3, rel=1e-6)
                 assert not est.truncated
 
@@ -377,8 +377,8 @@ class TestSolverCounts:
 
     def test_density_curve_gauge_calls(self, g, monkeypatch):
         # per README curve: exactly one 512^2 hit grid, for the first radius
-        # (the others bracket from the base point), one check of the base
-        # point per radius, at most 6 edge scans of 4 x 17 lines and at most
+        # (the others bracket from the base point), no one-point check of
+        # the base point, at most 6 edge scans of 4 x 17 lines and at most
         # 30 probe calls of 4 lines, each line of 512 points and refined by
         # two calls of 64 points a line, and at most 512^2 integral points,
         # ball and density points together
@@ -409,8 +409,8 @@ class TestSolverCounts:
             density_curve(paraboloid(g), d, *point, (0.4, 0.2, 0.1))
             scans, probes = located.count(4 * 17 * 512), located.count(4 * 512)
             refined = located.count(4 * 17 * 64) + located.count(4 * 64)
-            assert located.count(512 * 512) == 1 and located.count(1) == 3
-            assert len(located) == 4 + scans + probes + refined
+            assert located.count(512 * 512) == 1 and located.count(1) == 0
+            assert len(located) == 1 + scans + probes + refined
             assert scans <= 6 and probes <= 30 and refined == 2 * (scans + probes)
             assert 0 < sum(integral) <= 512 * 512
 
@@ -437,7 +437,7 @@ class TestSolverCounts:
             return np.where((U > 0.2)[..., None], np.nan, p)
 
         patch = SurfacePatch(group=g, fn=fn, domain=((-1.0, 1.0), (-1.0, 1.0)))
-        box, touches = _param_bounding_box(patch, dinf(g), g.zero(), 0.4)
+        box, touches = _param_bounding_box(patch, dinf(g), g.zero(), 0.4, (0.0, 0.0))
         assert box[0][0] == pytest.approx(-0.4, abs=1e-9)
         assert box[0][1] == pytest.approx(0.2, abs=1e-9)
         np.testing.assert_allclose(box[1], (-0.04, 0.04), atol=1e-9)

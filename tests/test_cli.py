@@ -301,6 +301,9 @@ class TestConfigFaults:
         ("blowup", {"point": [float("nan"), 0]}, "point"),
         ("blowup", {"radii": [0.2, float("inf")]}, "radii"),
         ("blowup", {"radii": [0.2, 0.2, 0.2]}, "radii must be distinct"),
+        ("blowup", {"point": [1.5, 0]}, "outside the domain"),
+        ("blowup", {"surface": {**PARABOLOID, "expr": {"x": "sqrt(u)", "y": "u", "t": "v"}},
+                    "point": [-0.5, 0]}, "non-finite"),
         ("check-distance", {"distance": {"family": "dinf", "params": 5}}, "params"),
         ("check-distance", {"distance": {"family": "dinf", "params": "ab"}}, "params"),
         ("check-distance", {"distance": {"family": "profile", "params": {"expr": 5}}},
@@ -319,6 +322,7 @@ class TestConfigFaults:
                                    "bracket": [[3, 1, 2, float("inf")]]}}, "bracket entry"),
     ], ids=["point-int", "radii-int", "point-short", "point-string", "radii-empty",
             "radii-negative", "radii-string", "point-nan", "radii-infinity", "radii-repeated",
+            "point-outside-domain", "point-image-nan",
             "params-int", "params-string", "expr-int", "expr-sqrt-two-args",
             "expr-max-no-args", "subspace-int", "subspace-short", "signature-int",
             "bracket-fractional-index", "bracket-infinite-value"])

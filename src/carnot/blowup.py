@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import CHUNK_COLUMNS, ConfigurationError, GradedGroup
+from .algebra import CHUNK_COLUMNS, Check, ConfigurationError, GradedGroup
+from .factor import GL_NODES, _gl_rule, _gl_sin_rule, spherical_factor
 from .metrics import DistanceSpec, false_position
 from .subgroups import HomSubspace, subspace_from_vectors
 
@@ -104,7 +105,10 @@ class BlowupReport:
     beta_error: float
     gap: float
     tol: float
-    ok: bool
+
+    @property
+    def ok(self):
+        return Check("gap", abs(self.gap), self.tol).ok
 
     @property
     def limit(self):
@@ -251,10 +255,10 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
     outside end.  Without `search` an n x n hit grid on the domain gives
     the witnesses, `inside` among them, and the probe lines span the hits
     widened by a cell; with it `inside` witnesses every edge and the lines
-    span `search`.  An edge off the domain boundary that reads inside moves
-    4x as far from its witness, clipped to the domain.  A box that leaves
-    its lines' span, or is under 1/LOCATOR_ZOOM of it, is probed again on
-    itself widened by its width on each side, from `inside`.  Returns
+    span `search`.  A box that leaves its lines' span, or is under
+    1/LOCATOR_ZOOM of it, or has an edge off the domain boundary that reads
+    inside, is probed again from `inside`: on itself widened by its width on
+    each side, an edge that read inside from the domain's edge.  Returns
     (box, touches_domain_boundary).  The grid can miss a part of the
     preimage much thinner than a cell away from `inside`, and the scan one
     away from the witness's part spanning under 1/LOCATOR_SCAN of a bracket.
@@ -285,15 +289,11 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
         xs[:, -1] = ends
         G = _edge_gauge(patch, d, center, r, lines[rows], along[rows] == 1)(xs.ravel())
         G = G.reshape(xs.shape)
-        cut = ~(G[:, 0] > 0.0) & (probe != dom_edges)
-        if np.any(cut):  # an edge inside the ball moves 4x as far from its witness
-            probe = np.clip(np.where(cut, ends + 4.0 * (probe - ends), probe), lo_edges, hi_edges)
-            span = probe.reshape(2, 2)
-            continue
         reads_in = ~(G > 0.0)
         reads_in[:, -1] = True  # the witness
         k = np.argmax(reads_in, axis=1)
         meets, lane = k == 0, np.arange(4)
+        cut = meets & (probe != dom_edges)  # an edge off the domain boundary reads inside
         k_out = np.maximum(k - 1, 0)
         gauge = _edge_gauge(patch, d, center, r, lines, along == 1)
         lo, _ = false_position(gauge, xs[lane, k_out], xs[lane, k], tol, 50,
@@ -301,11 +301,12 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
         found = lo.reshape(2, 2)
         width = np.diff(found, axis=1)[:, 0]
         if np.all((found[:, 0] >= span[:, 0]) & (found[:, 1] <= span[:, 1])
-                  & (LOCATOR_ZOOM * width >= np.diff(span, axis=1)[:, 0])):
+                  & (LOCATOR_ZOOM * width >= np.diff(span, axis=1)[:, 0])) and not np.any(cut):
             break
-        # probe again on the box widened by its width on each side
+        # probe again on the box widened by its width on each side; a cut edge from the domain edge
         ends, through = inside[across], inside[along]
-        probe = np.clip((found + width[:, None] * [-1.0, 1.0]).ravel(), lo_edges, hi_edges)
+        widened = (found + width[:, None] * [-1.0, 1.0]).ravel()
+        probe = np.clip(np.where(cut, dom_edges, widened), lo_edges, hi_edges)
         span = probe.reshape(2, 2)
     return (tuple(lo[:2].tolist()), tuple(lo[2:].tolist())), bool(np.any(meets))
 
@@ -318,7 +319,6 @@ def _row_measures(patch: SurfacePatch, d: DistanceSpec, center, r, u, v_lim):
     moves all brackets to the ball, and 16-node Gauss-Legendre sums the
     density on each interval.
     """
-    from .factor import _gl_rule
 
     def gauge(U, V):
         return _patch_gauge(patch, d, center, r, U, V) - 1.0
@@ -357,8 +357,6 @@ def _box_measure(patch: SurfacePatch, d: DistanceSpec, center, r, box) -> float:
     GL_NODES / 2 and GL_NODES node sums differ by more than MU_RTOL of the
     total is cut in MU_SPLIT, while there are at most MU_MAX_PANELS panels.
     """
-    from .factor import GL_NODES, _gl_sin_rule
-
     grade = np.array([0.0, 1e-8, 1e-6, 1e-4, 1e-2])
     cuts = np.interp(np.concatenate([grade, 1.0 - grade[::-1]]), [0.0, 1.0], box[0])
     panels, kept, n_panels = np.stack([cuts[:-1], cuts[1:]], axis=1), 0.0, len(cuts) - 1
@@ -447,15 +445,13 @@ def blowup_check(patch: SurfacePatch, d: DistanceSpec, u, v,
 
     `factor_opts` are passed on to `spherical_factor`.
     """
-    from .factor import spherical_factor
-
     curve = density_curve(patch, d, u, v, radii, n_grid=n_grid)
     tangent = homogeneous_tangent(patch, u, v).tangent
     rep = spherical_factor(d, tangent, **(factor_opts or {}))
     tol = rel_tol * abs(rep.beta) + 3.0 * rep.beta_error
     gap = curve.limit - rep.beta
     return BlowupReport(curve=curve, beta=rep.beta, beta_error=rep.beta_error,
-                        gap=float(gap), tol=float(tol), ok=bool(abs(gap) <= tol))
+                        gap=float(gap), tol=float(tol))
 
 
 # -- level sets --------------------------------------------------------------

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import blowup, factor, metrics
-from .algebra import (ConfigurationError, GradedGroup, checked_int, group_law_checks,
+from .algebra import (Check, ConfigurationError, GradedGroup, checked_int, group_law_checks,
                       structure_constants_from_dict, validate_grading)
 from .config import ExperimentConfig, load_config
 
@@ -35,14 +35,6 @@ MAX_SUBSPACES = 1000  # sweep `k`
 MAX_STARTS = 256  # `n_starts` of beta and sweep
 
 
-@dataclass(frozen=True)
-class Verdict:
-    name: str
-    ok: bool
-    value: float
-    threshold: float
-
-
 @dataclass
 class RunReport:
     command: str
@@ -51,7 +43,7 @@ class RunReport:
     wall_time: float = 0.0
     columns: tuple = ()
     rows: list = field(default_factory=list)  # tuples matching columns
-    verdicts: list = field(default_factory=list)
+    verdicts: list = field(default_factory=list)  # algebra.Check records
     notes: list = field(default_factory=list)
 
     @property
@@ -68,8 +60,8 @@ class RunReport:
                 lines.append("  ".join(_fmt(x) for x in row))
         for v in self.verdicts:
             status = "PASS" if v.ok else "FAIL"
-            lines.append(f"[{status}] {v.name}: {_fmt(v.value)} "
-                         f"(threshold {_fmt(v.threshold)})")
+            lines.append(f"[{status}] {v.name}: {_fmt(v.worst)} "
+                         f"(threshold {_fmt(v.tol)})")
         lines.extend(self.notes)
         return "\n".join(lines)
 
@@ -117,7 +109,7 @@ def _add_checks(rep: RunReport, checks):
     """One row and one verdict per check; a failed check's witness as a note."""
     for chk in checks:
         rep.rows.append((chk.name, chk.ok, chk.worst, chk.tol))
-        rep.verdicts.append(Verdict(chk.name, chk.ok, chk.worst, chk.tol))
+        rep.verdicts.append(chk)
         if not chk.ok and chk.witness:
             rep.notes.append(f"counterexample for {chk.name}: {chk.witness}")
 
@@ -128,11 +120,9 @@ def cmd_check_group(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     rep = RunReport("check-group", cfg.digest, seed,
                     columns=("check", "ok", "residual", "tol"))
     grading = validate_grading(sc)
-    rep.rows.append(("grading_jacobi", grading.ok, 0.0, 1e-12))
-    rep.verdicts.append(Verdict("grading_jacobi", grading.ok,
-                                float(len(grading.violations)), 0.0))
+    _add_checks(rep, [Check("grading_jacobi", float(len(grading.violations)), 0.0)])
     rep.notes.extend(grading.violations[:5])
-    if not grading.ok:
+    if not rep.ok:
         return rep
     g = GradedGroup(sc)
     rep.notes.append(f"group: step {g.step}, layer_dims {g.layer_dims}, Q = {g.Q}")
@@ -165,9 +155,8 @@ def cmd_beta(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     rep.rows.append((res.beta, res.beta_error, res.center_gap, res.gap_error,
                      res.n_starts, res.n_mc, res.seed, res.boundary_argmax,
                      *res.argmax_center))
-    rep.verdicts.append(Verdict("center_gap_within_3sigma",
-                                abs(res.center_gap) <= 3 * res.gap_error,
-                                res.center_gap, 3 * res.gap_error))
+    rep.verdicts.append(Check("center_gap_within_3sigma", abs(res.center_gap),
+                              3 * res.gap_error))
     rep.notes.append(f"method: {res.method}")
     return rep
 
@@ -187,8 +176,7 @@ def cmd_sweep(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
                     columns=("index", "beta", "beta_error"))
     for i, (b, e) in enumerate(zip(res.betas, res.std_errors)):
         rep.rows.append((i, b, e))
-    rep.verdicts.append(Verdict("spread_within_3sigma_bars", res.ok,
-                                res.spread, res.spread_error))
+    rep.verdicts.append(Check("spread_within_3sigma_bars", res.spread, res.spread_error))
     rep.notes.append(f"mean beta: {_fmt(res.mean)}")
     return rep
 
@@ -211,8 +199,7 @@ def cmd_blowup(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     rep = RunReport("blowup", cfg.digest, seed, columns=("r", "ratio", "err"))
     for r, ratio in zip(curve.radii, curve.ratios):
         rep.rows.append((r, ratio, curve.uncertainty))
-    rep.verdicts.append(Verdict("blowup_density_matches_factor",
-                                check.ok, check.gap, check.tol))
+    rep.verdicts.append(Check("blowup_density_matches_factor", abs(check.gap), check.tol))
     rep.notes.append(f"extrapolated density: {_fmt(check.limit)}; "
                      f"beta of tangent: {_fmt(check.beta)} "
                      f"+- {_fmt(check.beta_error)}")
@@ -236,8 +223,7 @@ def cmd_graph_area(cfg: ExperimentConfig, seed: int, samples) -> RunReport:
     rep = RunReport("graph-area", cfg.digest, seed,
                     columns=("area", "surface_route", "abs_gap"))
     rep.rows.append((area, surface_route, gap))
-    rep.verdicts.append(Verdict("level_set_vs_surface_route_2pct",
-                                gap <= 0.02 * abs(area), gap, 0.02 * abs(area)))
+    rep.verdicts.append(Check("level_set_vs_surface_route_2pct", gap, 0.02 * abs(area)))
     return rep
 
 

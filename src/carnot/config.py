@@ -74,9 +74,11 @@ def compile_expression(src: str, variables):
         raise ConfigurationError(
             f"unsupported syntax {type(node).__name__!r} in expression {src!r}")
 
-    # validate once against dummy scalars so errors surface at parse time
+    # validate once against dummy scalars so errors surface at parse time; a
+    # NaN or inf is no warning, since every caller refuses it or reads it as outside
     try:
-        ev(tree, {v: 0.5 for v in variables})
+        with np.errstate(all="ignore"):
+            ev(tree, {v: 0.5 for v in variables})
     except ConfigurationError:
         raise
     except (ArithmeticError, TypeError, ValueError) as exc:  # e.g. sqrt(t1, t2), max()
@@ -86,7 +88,8 @@ def compile_expression(src: str, variables):
         missing = set(variables) - set(arrays)
         if missing:
             raise ValueError(f"missing variables {sorted(missing)}")
-        return np.asarray(ev(tree, arrays), dtype=float)
+        with np.errstate(all="ignore"):
+            return np.asarray(ev(tree, arrays), dtype=float)
 
     return fn
 

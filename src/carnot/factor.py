@@ -23,7 +23,7 @@ from math import pi
 import numpy as np
 
 from . import randomness
-from .algebra import ConfigurationError, GradedGroup
+from .algebra import Check, ConfigurationError, GradedGroup
 from .metrics import RHO_ATOL, DistanceSpec
 from .subgroups import HomSubspace, is_normal, subspace_from_signature_reference
 
@@ -76,7 +76,7 @@ class SweepReport:
 
     @property
     def ok(self):
-        return self.spread <= self.spread_error
+        return Check("spread", self.spread, self.spread_error).ok
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class ConvexNormalReport:
 
     @property
     def ok(self):
-        return abs(self.gap) <= 3.0 * self.gap_error
+        return Check("gap", abs(self.gap), 3.0 * self.gap_error).ok
 
 
 # -- Monte Carlo oracle ----------------------------------------------------

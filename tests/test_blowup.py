@@ -208,6 +208,16 @@ class TestLocator:
                 assert not est.truncated
 
 
+def test_search_edge_at_witness(g):
+    # an edge 1e-30 from the witness reads inside; it is probed again from the
+    # domain edge, so the box is the domain search's
+    patch, d = paraboloid(g), dinf(g)
+    blind, _ = _param_bounding_box(patch, d, g.zero(), 0.3, (0.0, 0.0))
+    box, _ = _param_bounding_box(patch, d, g.zero(), 0.3, (0.0, 0.0),
+                                 search=((-1e-30, 0.9), (-0.9, 0.9)))
+    np.testing.assert_allclose(box, blind, rtol=0, atol=1e-10)
+
+
 class TestDensityCurve:
     def test_vertical_plane_ratios_exact(self, g):
         curve = density_curve(vertical_plane(g), dinf(g), 0.0, 0.0,

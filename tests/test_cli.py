@@ -34,6 +34,15 @@ class TestCheckGroup:
         assert run(["check-group", "--config", cfg]) == 2
         assert "grading" in capsys.readouterr().out
 
+    def test_grading_row_counts_violations(self, tmp_path, capsys):
+        # [e2, e2] = e3/2 breaks antisymmetry once; the row is the verdict
+        cfg = write_cfg(tmp_path, "g.json", {"group": {
+            "step": 2, "layer_dims": [2, 1], "bracket": [[3, 1, 2, 1], [3, 2, 2, 0.5]]}})
+        out = tmp_path / "g.csv"
+        assert run(["check-group", "--config", cfg, "--out", str(out)]) == 2
+        assert "[FAIL] grading_jacobi: 1 (threshold 0)" in capsys.readouterr().out
+        assert out.read_text().splitlines()[1] == "grading_jacobi,false,1,0"
+
     def test_malformed_spec_is_config_error(self, tmp_path):
         cfg = write_cfg(tmp_path, "g.json", {"group": {
             "step": 2, "layer_dims": [2, 1], "brackets": []}})
@@ -247,6 +256,16 @@ class TestGraphArea:
         assert run(["graph-area", "--config", cfg]) == 0
         row = capsys.readouterr().out
         assert "\n1 " in row or "\n1\n" in row or "1  " in row
+
+    def test_infinite_area_fails(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(blowup, "graph_area_levelset", lambda *a, **k: float("inf"))
+        cfg = write_cfg(tmp_path, "ga.json", {
+            "group": "heisenberg1", "distance": {"family": "dinf"},
+            "surface": {"kind": "levelset", "expr": {"f": "x"},
+                        "domain": [[0, 1], [0, 1]]},
+            "n_grid": 64})
+        assert run(["graph-area", "--config", cfg]) == 2
+        assert "[FAIL] level_set_vs_surface_route_2pct: inf" in capsys.readouterr().out
 
 
 PARABOLOID = {"kind": "param",

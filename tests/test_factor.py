@@ -11,8 +11,10 @@ from scipy import integrate
 
 from carnot.algebra import (ConfigurationError, GradedGroup, preset_group,
                             structure_constants_from_sparse)
-from carnot.factor import (MAX_QUAD_ROWS, _gl_sin_rule, _mc_factor, convex_normal_check,
-                           random_subspace, rotational_sweep, slice_volume_mc,
+from carnot.blowup import BlowupReport
+from carnot.factor import (MAX_QUAD_ROWS, ConvexNormalReport, SweepReport, _gl_sin_rule,
+                           _mc_factor, convex_normal_check, random_subspace,
+                           rotational_sweep, slice_volume_mc,
                            slice_volume_nested, spherical_factor,
                            unit_ball_volume)
 from carnot.metrics import dinf, euclidean, hebisch_sikora, koranyi
@@ -398,6 +400,17 @@ class TestSweepAndConvex:
         d = hebisch_sikora(heis)
         rep = convex_normal_check(d, vertical, n_starts=4, n_mc=30000, seed=0)
         assert abs(rep.gap) <= 3 * rep.gap_error
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("report", [
+        lambda x: SweepReport((1, 1), (0.0, x), (0.0, x), spread=x, spread_error=x,
+                              mean=x, seed=0),
+        lambda x: ConvexNormalReport(beta=x, origin_volume=0.0, gap=x, gap_error=x),
+        lambda x: BlowupReport(curve=None, beta=x, beta_error=x, gap=x, tol=x),
+    ], ids=["sweep", "convex-normal", "blowup"])
+    def test_non_finite_value_fails(self, report, bad):
+        # a value and a bar that are both inf (or NaN) fail, as in algebra.Check
+        assert not report(bad).ok
 
     def test_convex_flag_required(self, heis, vertical):
         with pytest.raises(ConfigurationError, match="convex"):

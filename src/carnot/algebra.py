@@ -357,12 +357,22 @@ class GradedGroup:
         return p[..., self.layer_starts[j - 1]:self.layer_ends[j - 1]]
 
     def layer_norms(self, p):
-        """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes."""
+        """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes.
+
+        A layer whose sum of squares is subnormal, zero or infinite is summed
+        again by hypot, which scales as it goes, so only a norm out of range
+        underflows or overflows.
+        """
         p2 = np.ascontiguousarray(np.atleast_2d(np.asarray(p, dtype=float)))
         sq = np.empty((p2.shape[0], self.step))
         for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
             sq[:, j] = np.einsum("nc,nc->n", p2[:, s:e], p2[:, s:e])
         out = np.sqrt(sq)
+        odd = (sq < np.finfo(float).tiny) | (sq == np.inf)
+        if odd.any():
+            for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
+                with np.errstate(over="ignore"):
+                    out[odd[:, j], j] = np.hypot.reduce(p2[odd[:, j], s:e], axis=1, initial=0.0)
         return out[0] if np.asarray(p).ndim == 1 else out
 
     def __repr__(self):

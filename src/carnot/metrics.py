@@ -31,7 +31,7 @@ HEBISCH_SIKORA_DEFAULT_EPS = 0.5
 
 NORM_RTOL = 1e-10
 # profile rounds per block of the certified norm: dinf and koranyi need one,
-# hebisch_sikora about 6, a profile with no usable slope about 40
+# hebisch_sikora up to 6 on engel and 7 at step 5, a slopeless profile about 40
 NORM_MAX_ROUNDS = 200
 RHO_ATOL = 1e-10
 # construction-time axiom verdicts kept per process, least recently used out
@@ -210,40 +210,46 @@ class DistanceSpec:
         r is that secant root when it lies inside the bracket, else 2 lo,
         hi / 2 or sqrt(lo hi); hi - lo <= NORM_RTOL hi also certifies.  The
         first r is phi(a), the norm itself when phi(a / r^w) = phi(a) / r
-        (dinf, koranyi).  A non-finite coordinate or phi value, or a point
-        still open after NORM_MAX_ROUNDS, gives NaN.  The powers r^j must
-        stay normal floats: below a norm of about 1e-308^(1/iota) (1e-62 at
-        step 5) the result is NaN or unresolved.
+        (dinf, koranyi), or max_j a_j^(1/j) where phi(a) is not a positive
+        float.  A non-finite coordinate or phi value, or a point still open
+        after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are running products,
+        each clamped to the smallest normal float: below a norm of about
+        1e-308^(1/iota) (1e-62 at step 5) the result is NaN or unresolved.
         """
-        weights = np.arange(1, a.shape[1] + 1, dtype=float)
-        finite, nonzero = np.isfinite(a).all(axis=1), (a > 0.0).any(axis=1)
+        iota, a = a.shape[1], a.T.copy()  # (iota, n): one contiguous row per layer
+        finite, nonzero = np.isfinite(a).all(axis=0), (a > 0.0).any(axis=0)
         out = np.where(finite & ~nonzero, 0.0, np.nan)
         idx = np.flatnonzero(finite & nonzero)
-        a = a[idx]
-        with np.errstate(all="ignore"):
-            r = self.profile(a)
-        r = np.where(np.isfinite(r) & (r > 0.0), r, 1.0)
-        lo, hi = np.zeros(len(idx)), np.full(len(idx), np.inf)
+        a = a[:, idx]
         delta = np.array([[-0.5 * NORM_RTOL], [0.5 * NORM_RTOL]])
         du = float(np.log1p(delta[1, 0]) - np.log1p(delta[0, 0]))  # log(ends[1] / ends[0])
-        for _ in range(NORM_MAX_ROUNDS):
-            if not len(idx):
-                break
-            ends = r * (1.0 + delta)  # (2, m)
-            scale = np.maximum(ends[..., None] ** weights, np.finfo(float).tiny)
-            with np.errstate(all="ignore"):
-                f = np.log(self.profile((a / scale).reshape(-1, a.shape[1]))).reshape(2, -1)
-                step = ends[0] * np.exp(-f[0] * du / (f[1] - f[0]))
-            out_lo, out_hi = f > 0.0  # outside the ball at each end
-            lo = np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)))
-            hi = np.minimum(hi, np.where(~out_lo, ends[0], np.where(~out_hi, ends[1], np.inf)))
-            r = np.where((lo < step) & (step < hi), step, np.where(
-                hi == np.inf, 2.0 * lo, np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))))
-            sane = (0.0 < hi) & (lo <= hi) & ~np.isnan(f).any(axis=0)
-            done = sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
-            out[idx[done]] = np.where(np.isfinite(step), np.clip(step, lo, hi), r)[done]
-            keep = sane & ~done
-            idx, a, r, lo, hi = idx[keep], a[keep], r[keep], lo[keep], hi[keep]
+        lo, hi = np.zeros(len(idx)), np.full(len(idx), np.inf)
+        with np.errstate(all="ignore"):  # each lane handles its own inf and NaN
+            r = self.profile(a.T).copy()  # an evaluator may return a view of a
+            off = np.flatnonzero(~(np.isfinite(r) & (r > 0.0)))  # there start at max_j a_j^(1/j)
+            r[off] = (a[:, off] ** (1.0 / np.arange(1, iota + 1))[:, None]).max(axis=0)
+            for _ in range(NORM_MAX_ROUNDS):
+                if not len(idx):
+                    break
+                ends = r * (1.0 + delta)  # (2, m)
+                t, power = np.empty((iota, 2, len(idx))), ends
+                for j in range(iota):  # t[j] = a_j / ends^(j+1), the power a running product
+                    np.divide(a[j], np.maximum(power, np.finfo(float).tiny), out=t[j])
+                    power = power * ends
+                f = np.log(self.profile(t.transpose(1, 2, 0).reshape(-1, iota))).reshape(2, -1)
+                step = ends[0] * np.exp(f[0] * du / (f[0] - f[1]))
+                out_lo, out_hi = f > 0.0  # outside the ball at each end
+                lo = np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)))
+                hi = np.minimum(hi, np.where(~out_lo, ends[0], np.where(~out_hi, ends[1], np.inf)))
+                r = np.where((lo < step) & (step < hi), step, np.where(
+                    hi == np.inf, 2.0 * lo, np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))))
+                sane = (0.0 < hi) & (lo <= hi) & ~np.isnan(f).any(axis=0)
+                done = sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
+                if done.any():
+                    out[idx[done]] = np.where(np.isfinite(step), np.clip(step, lo, hi), r)[done]
+                keep = np.flatnonzero(sane & ~done)
+                if len(keep) < len(idx):
+                    idx, a, r, lo, hi = idx[keep], a[:, keep], r[keep], lo[keep], hi[keep]
         return out
 
     def distance(self, x, y):
@@ -347,9 +353,8 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
         i = _worst_index(sym)
         update("symmetry", float(sym[i]), (X[i].tolist(), Y[i].tolist()))
 
-        Xr = np.stack([g.dilate(ri, xi) for ri, xi in zip(r[:64], X[:64])])
-        Yr = np.stack([g.dilate(ri, yi) for ri, yi in zip(r[:64], Y[:64])])
-        hom = np.abs(d.distance(Xr, Yr) - r[:64] * dxy[:64])
+        scale = r[:64, None] ** g._weights
+        hom = np.abs(d.distance(X[:64] * scale, Y[:64] * scale) - r[:64] * dxy[:64])
         i = _worst_index(hom)
         update("homogeneity", float(hom[i]), (X[i].tolist(), Y[i].tolist(), float(r[i])))
         done += n
@@ -424,7 +429,7 @@ def hebisch_sikora(g: GradedGroup, eps: float = HEBISCH_SIKORA_DEFAULT_EPS,
     """Distance whose unit ball is the Euclidean ball of radius eps (convex)."""
     eps = checked_real(eps, "hebisch_sikora: eps", positive=True)
     return _build(g, f"hebisch_sikora({eps:g})",
-                  lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / eps,
+                  lambda t: np.sqrt(sum(t[..., j] * t[..., j] for j in range(t.shape[-1]))) / eps,
                   True, validate, "decrease eps", key=("hebisch_sikora", eps))
 
 

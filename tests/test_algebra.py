@@ -311,3 +311,18 @@ def test_layer_norms_match_manual():
     manual = np.stack([np.sqrt(np.sum(a[:, s:e] ** 2, axis=1))
                        for s, e in zip(g.layer_starts, g.layer_ends)], axis=1)
     np.testing.assert_allclose(g.layer_norms(a), manual, rtol=1e-15)
+
+
+def test_layer_norms_at_the_float_extremes():
+    # sums of squares that underflow or overflow are scaled; a zero, infinite
+    # or NaN layer keeps its norm
+    g = preset_group("engel")
+    x = np.array([[1e-200, -1e-200, 1e-160, 1e300],
+                  [3e300, 4e300, 0.0, -1e-320],
+                  [0.0, 0.0, np.inf, np.nan],
+                  [np.inf, 1.0, 0.0, 0.0]])
+    out = g.layer_norms(x)
+    np.testing.assert_allclose(out[:2], [[np.sqrt(2.0) * 1e-200, 1e-160, 1e300],
+                                         [5e300, 0.0, 1e-320]], rtol=1e-15)
+    assert out[2, 0] == 0.0 and out[2, 1] == np.inf and np.isnan(out[2, 2])
+    assert out[3].tolist() == [np.inf, 0.0, 0.0]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from carnot import metrics, randomness
-from carnot.algebra import CHUNK_COLUMNS, ConfigurationError, group_from_dict, preset_group
+from carnot.algebra import (CHUNK_COLUMNS, MAX_STEP, ConfigurationError, group_from_dict,
+                            preset_group)
 from carnot.config import distance_from_dict
 from carnot.metrics import (NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect, check_axioms,
                             dinf, euclidean, false_position, from_profile, hebisch_sikora,
@@ -341,11 +342,38 @@ class TestCertifiedNorm:
         assert hs.norm([1e30, 0, 0]) == pytest.approx(2e30, rel=1e-14)
         assert d.norm([0, 0, 1e30]) == pytest.approx(2e15, rel=1e-14)
         assert hs.norm([0, 0, 1e30]) == pytest.approx(np.sqrt(2e30), rel=1e-14)
-        assert d.norm([1e-30, 0, 0]) == pytest.approx(1e-30, rel=1e-14)
+        assert d.norm([1e-30, 0, 0]) == pytest.approx(1e-30, rel=1e-14, abs=0)
+        # step 5: the powers r^1..r^5 and their clamp at the extremes
+        h = group_from_dict(FILIFORM5)
+        hf = hebisch_sikora(h, validate=False)
+        for v in (1e30, 1e-30):
+            first, top = np.zeros(h.q), np.zeros(h.q)
+            first[0] = top[-1] = v
+            assert hf.norm(first) == pytest.approx(2.0 * v, rel=1e-14, abs=0)
+            assert hf.norm(top) == pytest.approx((2.0 * v) ** 0.2, rel=1e-14, abs=0)
         # a batch keeps its finite points
         out = d.norm(np.array([[0.3, 0, 0], [np.nan, 0, 0], [0, 0, 0], [1, np.inf, 0]]))
         assert out[0] == pytest.approx(0.3, rel=1e-14) and out[2] == 0.0
         assert np.isnan(out[1]) and np.isnan(out[3])
+
+    @pytest.mark.parametrize("family, point, expected", [
+        ("dinf", [0, 0, 1e-200], 2e-100),
+        ("dinf", [0, 0, 1e-160], 2e-80),
+        ("dinf", [0, 0, 1e300], 2e150),
+        ("hebisch_sikora", [1e300, 0, 0], 2e300),
+        ("filiform5", [0, 0, 0, 0, 0, 1e-200], 2e-200 ** 0.2),
+    ], ids=["dinf-1e-200", "dinf-1e-160", "dinf-1e300", "hs-1e300", "hs-filiform5-1e-200"])
+    def test_layer_squares_past_the_float_range(self, g, family, point, expected):
+        # a layer's sum of squares underflows or overflows; its norm does not
+        if family == "filiform5":
+            d = hebisch_sikora(group_from_dict(FILIFORM5), validate=False)
+        else:
+            d = dinf(g) if family == "dinf" else hebisch_sikora(g)
+        assert d.norm(point) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_distinct_points_a_tiny_step_apart(self, g):
+        x, y = [0.3, 0.1, 0.0], [0.3, 0.1, 1e-200]
+        assert dinf(g).distance(x, y) == pytest.approx(2e-100, rel=1e-14, abs=0)
 
     def test_a_point_never_certified_is_nan(self, g):
         # a profile that never exceeds 1 leaves every bracket open
@@ -376,12 +404,31 @@ class TestCertifiedNorm:
         d.norm(x)
         blocks = -(-len(x) // CHUNK_COLUMNS)
         assert len(calls) == blocks * (1 + 1)
-        # hebisch_sikora on filiform: a start and at most 10 rounds per block
-        h = group_from_dict(FILIFORM5)
-        d = hebisch_sikora(h, validate=False)
-        calls = _count_profile_calls(d)
-        d.norm(np.random.default_rng(27).uniform(-1, 1, (20000, h.q)))
-        assert len(calls) <= blocks * (1 + 10)
+        # hebisch_sikora: a start and 5 or 6 rounds per block on engel, 6 or 7
+        # on filiform, at most 68 and 72 calls over the 10 blocks
+        for spec, most in (("engel", 68), (FILIFORM5, 72)):
+            h = group_from_dict(spec)
+            d = hebisch_sikora(h, validate=False)
+            calls = _count_profile_calls(d)
+            d.norm(np.random.default_rng(27).uniform(-1, 1, (20000, h.q)))
+            assert len(calls) <= most
+
+
+@pytest.mark.parametrize("step", range(1, MAX_STEP + 1))
+def test_hebisch_sikora_profile_bits(step):
+    # the evaluator sums its squares column by column, with the bits of a sum
+    # over the last axis, on rows (a ball gauge) and on columns (the norm)
+    h = group_from_dict({"step": step, "layer_dims": [2] + [1] * (step - 1),
+                         "bracket": [[k + 1, 1, k, 1] for k in range(2, step + 1)]})
+    d = hebisch_sikora(h, validate=False)
+    rng = np.random.default_rng(step)
+    t = np.abs(rng.standard_normal((4000, step))) * 10.0 ** rng.uniform(-200, 200, (4000, step))
+    t[rng.random(t.shape) < 0.2] = 0.0
+    t[:3, -1] = [np.inf, np.nan, 1e-320]
+    with np.errstate(all="ignore"):
+        expected = np.sqrt(np.sum(t ** 2, axis=-1)) / 0.5
+        for view in (t, np.asfortranarray(t)):
+            assert d.profile(view).tobytes() == expected.tobytes()
 
 
 class TestAxiomSampler:

@@ -359,9 +359,9 @@ class GradedGroup:
     def layer_norms(self, p):
         """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes.
 
-        A layer whose sum of squares is subnormal, zero or infinite is summed
-        again by hypot, which scales as it goes, so only a norm out of range
-        underflows or overflows.
+        A layer whose sum of squares is subnormal, infinite, or zero with a
+        nonzero entry is summed again by hypot, which scales as it goes, so
+        only a norm out of range underflows or overflows.
         """
         p2 = np.ascontiguousarray(np.atleast_2d(np.asarray(p, dtype=float)))
         sq = np.empty((p2.shape[0], self.step))
@@ -371,8 +371,10 @@ class GradedGroup:
         odd = (sq < np.finfo(float).tiny) | (sq == np.inf)
         if odd.any():
             for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
+                rows = np.flatnonzero(odd[:, j])
+                rows = rows[p2[rows, s:e].any(axis=1)]  # an all-zero layer keeps its 0
                 with np.errstate(over="ignore"):
-                    out[odd[:, j], j] = np.hypot.reduce(p2[odd[:, j], s:e], axis=1, initial=0.0)
+                    out[rows, j] = np.hypot.reduce(p2[rows, s:e], axis=1, initial=0.0)
         return out[0] if np.asarray(p).ndim == 1 else out
 
     def __repr__(self):

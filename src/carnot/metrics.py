@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import randomness
-from .algebra import CHUNK_COLUMNS, Check, ConfigurationError, GradedGroup, checked_real
+from .algebra import Check, ConfigurationError, GradedGroup, checked_real
 
 # Calibrated by dyadic search over the axiom sampler (largest passing value)
 # under the [e1,e2]=e3 bracket normalization of the presets.
@@ -33,6 +33,8 @@ NORM_RTOL = 1e-10
 # profile rounds per block of the certified norm: dinf and koranyi need one,
 # hebisch_sikora up to 6 on engel and 7 at step 5, a slopeless profile about 40
 NORM_MAX_ROUNDS = 200
+# lanes per block of the certified norm; phi sees at most twice as many rows
+NORM_LANES = 8192
 RHO_ATOL = 1e-10
 # construction-time axiom verdicts kept per process, least recently used out
 AXIOM_MEMO_SIZE = 64
@@ -194,27 +196,30 @@ class DistanceSpec:
 
     def norm(self, x):
         a = np.atleast_2d(self.group.layer_norms(np.asarray(x, dtype=float)))  # (n, iota)
-        out = np.empty(a.shape[0])
-        for s in range(0, a.shape[0], CHUNK_COLUMNS):
-            out[s:s + CHUNK_COLUMNS] = self._norm_multiradial(a[s:s + CHUNK_COLUMNS])
+        blocks = np.array_split(a, -(-len(a) // NORM_LANES) or 1)  # near-equal sizes
+        out = np.concatenate([self._norm_multiradial(b) for b in blocks])
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def _norm_multiradial(self, a):
         """Norms of the points with layer norms `a`, each certified to NORM_RTOL.
 
-        Each round evaluates phi at r(1 - delta) and r(1 + delta), delta =
-        NORM_RTOL / 2, for the points still open.  A point outside the ball
-        at the first and not at the second is certified and gets the secant
-        root of log phi against log r through that pair, clamped into it.
-        Otherwise both evaluations narrow its bracket [lo, hi], and the next
-        r is that secant root when it lies inside the bracket, else 2 lo,
-        hi / 2 or sqrt(lo hi); hi - lo <= NORM_RTOL hi also certifies.  The
-        first r is phi(a), the norm itself when phi(a / r^w) = phi(a) / r
-        (dinf, koranyi), or max_j a_j^(1/j) where phi(a) is not a positive
-        float.  A non-finite coordinate or phi value, or a point still open
-        after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are running products,
-        each clamped to the smallest normal float: below a norm of about
-        1e-308^(1/iota) (1e-62 at step 5) the result is NaN or unresolved.
+        `norm` passes at most NORM_LANES points at a time, in near-equal
+        blocks; the points are independent, so a split keeps every bit.  Each
+        round evaluates phi at r(1 - delta) and r(1 + delta), delta =
+        NORM_RTOL / 2, for the points still open.  A point outside the ball at
+        the first and not at the second is certified and gets the secant root
+        of log phi against log r through that pair, clamped into it.
+        Otherwise both evaluations narrow its bracket [lo, hi], and the next r
+        is that secant root when it lies inside the bracket, else 2 lo, hi / 2
+        or sqrt(lo) sqrt(hi), computed for those points only (the product lo
+        hi would overflow or underflow past 1e+-154); hi - lo <= NORM_RTOL hi
+        also certifies.  The first r is phi(a), the norm itself when
+        phi(a / r^w) = phi(a) / r (dinf, koranyi), or max_j a_j^(1/j) where
+        phi(a) is not a positive float.  A non-finite coordinate or phi value, or a
+        point still open after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are
+        running products, each clamped to the smallest normal float: below a
+        norm of about 1e-308^(1/iota) (1e-62 at step 5) the result is NaN or
+        unresolved.
         """
         iota, a = a.shape[1], a.T.copy()  # (iota, n): one contiguous row per layer
         finite, nonzero = np.isfinite(a).all(axis=0), (a > 0.0).any(axis=0)
@@ -241,8 +246,11 @@ class DistanceSpec:
                 out_lo, out_hi = f > 0.0  # outside the ball at each end
                 lo = np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)))
                 hi = np.minimum(hi, np.where(~out_lo, ends[0], np.where(~out_hi, ends[1], np.inf)))
-                r = np.where((lo < step) & (step < hi), step, np.where(
-                    hi == np.inf, 2.0 * lo, np.where(lo == 0.0, 0.5 * hi, np.sqrt(lo * hi))))
+                r = step.copy()
+                miss = np.flatnonzero(~((lo < step) & (step < hi)))  # secant root off [lo, hi]
+                l, h = lo[miss], hi[miss]
+                r[miss] = np.where(h == np.inf, 2.0 * l,
+                                  np.where(l == 0.0, 0.5 * h, np.sqrt(l) * np.sqrt(h)))
                 sane = (0.0 < hi) & (lo <= hi) & ~np.isnan(f).any(axis=0)
                 done = sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
                 if done.any():

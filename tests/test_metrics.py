@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from carnot import metrics, randomness
-from carnot.algebra import (CHUNK_COLUMNS, MAX_STEP, ConfigurationError, group_from_dict,
-                            preset_group)
+from carnot.algebra import MAX_STEP, ConfigurationError, group_from_dict, preset_group
 from carnot.config import distance_from_dict
-from carnot.metrics import (NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect, check_axioms,
-                            dinf, euclidean, false_position, from_profile, hebisch_sikora,
-                            koranyi)
+from carnot.metrics import (NORM_LANES, NORM_RTOL, RHO_ATOL, MultiradialProfile, bisect,
+                            check_axioms, dinf, euclidean, false_position, from_profile,
+                            hebisch_sikora, koranyi)
 
 # the filiform group of perfbench/configs/check_distance_filiform_hs.json
 FILIFORM5 = {"step": 5, "layer_dims": [2, 1, 1, 1, 1],
@@ -324,14 +323,45 @@ class TestCertifiedNorm:
         expected = 0.8 * rho(g.layer_norms(x))
         err = np.abs(d.norm(x) - expected) / expected
         assert err.max() <= NORM_RTOL
+        # the bracket's midpoint sqrt(lo hi) would overflow or underflow here
+        for v in (1e160, 1e-160, 1e300, 1e-300):
+            assert d.norm([v, 0.0, 0.0]) == pytest.approx(0.8 * v, rel=NORM_RTOL, abs=0)
 
     def test_batch_across_blocks_matches_single_points(self):
         h = preset_group("engel")
         d = hebisch_sikora(h, validate=False)
-        x = _scattered_points(h.q, 2 * CHUNK_COLUMNS + 1, seed=25)
+        x = _scattered_points(h.q, 2 * NORM_LANES + 1, seed=25)
         batch = d.norm(x)
-        single = np.array([d.norm(p) for p in x])
-        assert batch.tobytes() == single.tobytes()
+        # three blocks of 5462, 5462 and 5461 lanes: every lane within 32 of a
+        # cut or an end, every 4th lane, and slices astride each cut
+        cuts = (0, 5462, 10924, len(x))
+        near = np.concatenate([np.arange(max(c - 32, 0), min(c + 32, len(x))) for c in cuts])
+        idx = np.union1d(near, np.arange(0, len(x), 4))
+        single = np.array([d.norm(x[i]) for i in idx])
+        assert batch[idx].tobytes() == single.tobytes()
+        for c in cuts[1:-1]:
+            assert d.norm(x[c - 700:c + 300]).tobytes() == batch[c - 700:c + 300].tobytes()
+
+    @pytest.mark.parametrize("case", ["hs-filiform5", "steps"])
+    def test_block_splits_keep_every_bit(self, g, case):
+        # lanes are independent, so any split of a batch gives the same norms;
+        # the floor profile has no slope, so its lanes take the fallback r
+        if case == "steps":
+            rho = lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+            d = from_profile(g, lambda t: np.floor(4.0 * rho(t)) / 4.0, name="steps",
+                             validate=False)
+        else:
+            d = hebisch_sikora(group_from_dict(FILIFORM5), validate=False)
+        calls = _count_profile_calls(d)
+        x = _scattered_points(d.group.q, 3 * NORM_LANES + 5, seed=28)
+        whole = d.norm(x)
+        # phi never sees more than two rows per lane of the largest block
+        assert max(shape[0] for shape in calls) <= 2 * NORM_LANES
+        rng = np.random.default_rng(29)
+        for cuts in ([1, NORM_LANES, NORM_LANES + 1, 2 * NORM_LANES + 3],
+                     np.sort(rng.integers(0, len(x), 5)), [len(x) - 1]):
+            parts = [d.norm(part) for part in np.split(x, cuts)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
     def test_non_finite_and_extreme_points(self, g):
         d, hs = dinf(g), hebisch_sikora(g)
@@ -402,16 +432,16 @@ class TestCertifiedNorm:
         calls = _count_profile_calls(d)
         x = np.random.default_rng(26).uniform(-1, 1, (20000, 3))
         d.norm(x)
-        blocks = -(-len(x) // CHUNK_COLUMNS)
+        blocks = -(-len(x) // NORM_LANES)
         assert len(calls) == blocks * (1 + 1)
-        # hebisch_sikora: a start and 5 or 6 rounds per block on engel, 6 or 7
-        # on filiform, at most 68 and 72 calls over the 10 blocks
-        for spec, most in (("engel", 68), (FILIFORM5, 72)):
+        # hebisch_sikora: a start and at most 6 rounds per block on engel and
+        # 7 on filiform (21 and 22 calls over the 3 blocks)
+        for spec, rounds in (("engel", 6), (FILIFORM5, 7)):
             h = group_from_dict(spec)
             d = hebisch_sikora(h, validate=False)
             calls = _count_profile_calls(d)
             d.norm(np.random.default_rng(27).uniform(-1, 1, (20000, h.q)))
-            assert len(calls) <= most
+            assert len(calls) <= blocks * (1 + rounds)
 
 
 @pytest.mark.parametrize("step", range(1, MAX_STEP + 1))

@@ -4,15 +4,17 @@ A group element is a plain float vector in exponential coordinates of the
 first kind, adapted to a layer-orthogonal basis.  The group product is the
 BCH series truncated at the nilpotency step, a sum of right-nested Dynkin
 words with exact rational coefficients, so it is exact (up to rounding) for
-any group of step <= MAX_STEP.  Each distinct word suffix is evaluated
-once and shared by every word ending in it (30 brackets instead of 80 at
-step 5), on points held as (q, n) columns so that each sparse bracket term
-reads and writes contiguous rows, in blocks of CHUNK_COLUMNS points.  A
-suffix of L letters lies in layers >= L, so it is held from the first row
-of layer L, its bracket keeps only the sparse entries that read those
-rows, and its words are added into those rows alone: 4, 12 and 60 bracket
-terms per block on heisenberg1, engel and the step-5 filiform group,
-against 4, 24 and 240 over every entry, with the same bits.
+any group of step <= MAX_STEP.  A word ending in 'yx' is merged into the
+one ending in 'xy', as [y, x] = -[x, y], and each distinct word suffix is
+evaluated once and shared by every word ending in it: 13 brackets at step
+5, against 30 (80 word by word) for the unmerged words.  Points are held
+as (q, n) columns so that each sparse bracket term reads and writes
+contiguous rows, in blocks of CHUNK_COLUMNS points.  A suffix of L letters
+lies in layers >= L, so it is held from the first row of layer L, its
+bracket keeps only the sparse entries that read those rows, and its words
+are added into those rows alone: 2, 6 and 28 bracket terms per block on
+heisenberg1, engel and the step-5 filiform group, against 2, 12 and 104
+over every entry, with the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ MAX_STEP = 6
 # the structure constants are held as a dense (q, q, q) tensor
 MAX_DIMENSION = 64
 # points per block of the product kernel: a block keeps the suffix values of
-# two word lengths alive (24 at step 5), each of at most q * CHUNK_COLUMNS floats
+# two word lengths alive (10 at step 5), each of at most q * CHUNK_COLUMNS floats
 CHUNK_COLUMNS = 2048
 ATOL = 1e-12
 
@@ -165,7 +167,9 @@ def _dynkin_words(step):
     Returns a tuple of (word, coefficient) pairs, where a word is a string
     over {'x','y'} and its value is the right-nested bracket of the letters
     (last letter innermost).  Words whose last two letters coincide are
-    dropped, their bracket being zero.
+    dropped, their bracket being zero, and a word w + 'yx' is merged into
+    w + 'xy' with its coefficient negated, as [y, x] = -[x, y]: the sums
+    are exact fractions, and a word whose sum is zero is dropped.
     """
     coef = {}
 
@@ -177,6 +181,8 @@ def _dynkin_words(step):
             for r, s in pairs:
                 denom *= factorial(r) * factorial(s)
             c = Fraction((-1) ** (n - 1), n * degree * denom)
+            if word.endswith("yx"):
+                word, c = word[:-2] + "xy", -c
             coef[word] = coef.get(word, Fraction(0)) + c
         if degree >= step:
             return
@@ -345,8 +351,8 @@ class GradedGroup:
 
     def dilate(self, r, p):
         r = float(r)
-        if r <= 0:
-            raise ValueError(f"dilation factor must be positive, got {r}")
+        if not 0.0 < r < np.inf:
+            raise ValueError(f"dilation factor must be positive and finite, got {r}")
         return np.asarray(p, dtype=float) * r ** self._weights
 
     def project_layer(self, j, p):
@@ -357,7 +363,7 @@ class GradedGroup:
         return p[..., self.layer_starts[j - 1]:self.layer_ends[j - 1]]
 
     def layer_norms(self, p):
-        """Euclidean norms (|x_1|, ..., |x_iota|); batched over leading axes.
+        """Euclidean norms (|x_1|, ..., |x_iota|) of a (q,) or (n, q) input.
 
         A layer whose sum of squares is subnormal, infinite, or zero with a
         nonzero entry is summed again by hypot, which scales as it goes, so

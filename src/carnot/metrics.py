@@ -194,13 +194,21 @@ class DistanceSpec:
 
     # -- evaluation --------------------------------------------------------
 
-    def norm(self, x):
+    def norm(self, x, start=None):
+        """Certified norms of a (q,) or (n, q) input.
+
+        `start`, a float or one per point, is the first r of the search where
+        it is a positive finite float (see `_norm_multiradial`): a wrong one
+        costs rounds, never accuracy.
+        """
         a = np.atleast_2d(self.group.layer_norms(np.asarray(x, dtype=float)))  # (n, iota)
-        blocks = np.array_split(a, -(-len(a) // NORM_LANES) or 1)  # near-equal sizes
-        out = np.concatenate([self._norm_multiradial(b) for b in blocks])
+        r = np.broadcast_to(np.nan if start is None else np.asarray(start, dtype=float), len(a))
+        k = -(-len(a) // NORM_LANES) or 1  # near-equal blocks
+        out = np.concatenate([self._norm_multiradial(*block) for block in
+                              zip(np.array_split(a, k), np.array_split(r, k))])
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
-    def _norm_multiradial(self, a):
+    def _norm_multiradial(self, a, start):
         """Norms of the points with layer norms `a`, each certified to NORM_RTOL.
 
         `norm` passes at most NORM_LANES points at a time, in near-equal
@@ -213,9 +221,10 @@ class DistanceSpec:
         is that secant root when it lies inside the bracket, else 2 lo, hi / 2
         or sqrt(lo) sqrt(hi), computed for those points only (the product lo
         hi would overflow or underflow past 1e+-154); hi - lo <= NORM_RTOL hi
-        also certifies.  The first r is phi(a), the norm itself when
-        phi(a / r^w) = phi(a) / r (dinf, koranyi), or max_j a_j^(1/j) where
-        phi(a) is not a positive float.  A non-finite coordinate or phi value, or a
+        also certifies.  The first r is `start` where it is a positive finite
+        float, else phi(a), the norm itself when phi(a / r^w) = phi(a) / r
+        (dinf, koranyi), or max_j a_j^(1/j) where phi(a) is not a positive
+        float either.  A non-finite coordinate or phi value, or a
         point still open after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are
         running products, each clamped to the smallest normal float: below a
         norm of about 1e-308^(1/iota) (1e-62 at step 5) the result is NaN or
@@ -225,13 +234,15 @@ class DistanceSpec:
         finite, nonzero = np.isfinite(a).all(axis=0), (a > 0.0).any(axis=0)
         out = np.where(finite & ~nonzero, 0.0, np.nan)
         idx = np.flatnonzero(finite & nonzero)
-        a = a[:, idx]
+        a, r = a[:, idx], start[idx]  # r: a copy
         delta = np.array([[-0.5 * NORM_RTOL], [0.5 * NORM_RTOL]])
         du = float(np.log1p(delta[1, 0]) - np.log1p(delta[0, 0]))  # log(ends[1] / ends[0])
         lo, hi = np.zeros(len(idx)), np.full(len(idx), np.inf)
         with np.errstate(all="ignore"):  # each lane handles its own inf and NaN
-            r = self.profile(a.T).copy()  # an evaluator may return a view of a
-            off = np.flatnonzero(~(np.isfinite(r) & (r > 0.0)))  # there start at max_j a_j^(1/j)
+            cold = np.flatnonzero(~(np.isfinite(r) & (r > 0.0)))  # these start at phi(a)
+            if len(cold):
+                r[cold] = self.profile(a[:, cold].T)
+            off = cold[~(np.isfinite(r[cold]) & (r[cold] > 0.0))]  # there at max_j a_j^(1/j)
             r[off] = (a[:, off] ** (1.0 / np.arange(1, iota + 1))[:, None]).max(axis=0)
             for _ in range(NORM_MAX_ROUNDS):
                 if not len(idx):
@@ -260,10 +271,11 @@ class DistanceSpec:
                     idx, a, r, lo, hi = idx[keep], a[:, keep], r[keep], lo[keep], hi[keep]
         return out
 
-    def distance(self, x, y):
+    def distance(self, x, y, start=None):
+        """d(x, y) = ||x^-1 y||, the norm started at `start` as in `norm`."""
         g = self.group
         return self.norm(g.multiply(g.inverse(np.asarray(x, dtype=float)),
-                                    np.asarray(y, dtype=float)))
+                                    np.asarray(y, dtype=float)), start=start)
 
     def ball_gauge(self, center, r, x):
         """phi of the layer norms of center^-1 * x dilated by 1/r; batched over x."""
@@ -356,13 +368,15 @@ def check_axioms(d: DistanceSpec, g: GradedGroup = None, n_samples: int = 100000
         i = _worst_index(viol)
         update("triangle", float(viol[i]), (X[i].tolist(), Y[i].tolist(), Z[i].tolist()))
 
-        dyx = d.distance(Y, X)
+        # y^-1 x = (x^-1 y)^-1: a symmetric, homogeneous distance has these
+        # norms at their starts, and each is certified from its start anyway
+        dyx = d.distance(Y, X, start=dxy)
         sym = np.abs(dxy - dyx)
         i = _worst_index(sym)
         update("symmetry", float(sym[i]), (X[i].tolist(), Y[i].tolist()))
 
-        scale = r[:64, None] ** g._weights
-        hom = np.abs(d.distance(X[:64] * scale, Y[:64] * scale) - r[:64] * dxy[:64])
+        scale, rd = r[:64, None] ** g._weights, r[:64] * dxy[:64]
+        hom = np.abs(d.distance(X[:64] * scale, Y[:64] * scale, start=rd) - rd)
         i = _worst_index(hom)
         update("homogeneity", float(hom[i]), (X[i].tolist(), Y[i].tolist(), float(r[i])))
         done += n

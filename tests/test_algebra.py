@@ -1,10 +1,12 @@
 import tracemalloc
+from fractions import Fraction
+from math import factorial
 
 import numpy as np
 import pytest
 
-from carnot.algebra import (ATOL, ConfigurationError, GradedGroup, StructureConstants,
-                            _dynkin_words, _suffix_plan, group_from_dict,
+from carnot.algebra import (ATOL, MAX_STEP, ConfigurationError, GradedGroup,
+                            StructureConstants, _dynkin_words, _suffix_plan, group_from_dict,
                             group_law_checks, preset_group,
                             structure_constants_from_sparse, validate_grading)
 from carnot.metrics import hebisch_sikora
@@ -16,20 +18,69 @@ def heis():
 
 class TestDynkinWords:
     def test_low_degree_coefficients(self):
-        # aggregate coefficient of [x,y]: "xy" minus the mirrored "yx"
+        # "yx" is merged into "xy": [y,x] = -[x,y]
         words = dict(_dynkin_words(2))
-        assert words["xy"] - words["yx"] == pytest.approx(0.5)
-        assert "xx" not in words and "yy" not in words
+        assert words == {"x": 1.0, "y": 1.0, "xy": 0.5}
 
     def test_degree_three_coefficients(self):
-        # [x,[x,y]]/12 and [y,[y,x]]/12 terms ("xyx" carries -[x,[x,y]])
+        # [x,[x,y]]/12 - [y,[x,y]]/12, the merged "xyx" and "yyx"
         words = dict(_dynkin_words(3))
-        assert words["xxy"] - words["xyx"] == pytest.approx(1 / 12)
-        assert words["yyx"] - words["yxy"] == pytest.approx(1 / 12)
+        assert words["xxy"] == 1 / 12 and words["yxy"] == -1 / 12
+        assert "xyx" not in words and "yyx" not in words
 
     def test_word_count_is_stable(self):
-        assert len(_dynkin_words(2)) == 4
-        assert len(_dynkin_words(6)) == 40
+        assert len(_dynkin_words(2)) == 3
+        assert len(_dynkin_words(6)) == 27
+        assert all(w in ("x", "y") or w.endswith("xy") for w, _ in _dynkin_words(6))
+
+
+def _free_product(p, q, degree):
+    """Product of two polynomials {word: Fraction} in noncommuting x, y, through `degree`."""
+    out = {}
+    for u, a in p.items():
+        for v, b in q.items():
+            if len(u) + len(v) <= degree:
+                out[u + v] = out.get(u + v, 0) + a * b
+    return out
+
+
+def _log_exp_exp(degree):
+    """log(exp(x) exp(y)) in the free associative algebra on {x, y}, through `degree`."""
+    exp_x, exp_y = ({letter * k: Fraction(1, factorial(k)) for k in range(degree + 1)}
+                    for letter in "xy")
+    z = _free_product(exp_x, exp_y, degree)
+    del z[""]  # exp(x) exp(y) = 1 + z
+    out, power = {}, {"": Fraction(1)}
+    for n in range(1, degree + 1):
+        power = _free_product(power, z, degree)
+        for w, c in power.items():
+            out[w] = out.get(w, 0) + Fraction((-1) ** (n - 1), n) * c
+    return {w: c for w, c in out.items() if c}
+
+
+def _right_nested(word):
+    """The right-nested bracket of `word`, last letter innermost, as {word: int}."""
+    value = {word[-1]: 1}
+    for letter in word[-2::-1]:
+        out = {}
+        for w, c in value.items():
+            out[letter + w] = out.get(letter + w, 0) + c
+            out[w + letter] = out.get(w + letter, 0) - c
+        value = out
+    return value
+
+
+@pytest.mark.parametrize("step", range(2, MAX_STEP + 1))
+def test_words_sum_to_log_of_exp_product(step):
+    # an oracle that shares no code with Dynkin's formula: the words' brackets,
+    # expanded into associative words, sum to log(exp(x) exp(y)) exactly
+    series = {}
+    for word, c in _dynkin_words(step):
+        exact = Fraction(c).limit_denominator(10 ** 6)  # denominators are at most 2160
+        assert float(exact) == c != 0
+        for w, k in _right_nested(word).items():
+            series[w] = series.get(w, 0) + exact * k
+    assert {w: c for w, c in series.items() if c} == _log_exp_exp(step)
 
 
 def reference_product(g, p, q):
@@ -77,7 +128,7 @@ class TestSharedSuffixProduct:
     """The product must equal word-by-word evaluation to the last bit."""
 
     def test_plan_sizes(self):
-        assert [len(_suffix_plan(s)[0]) for s in range(2, 7)] == [2, 6, 8, 30, 44]
+        assert [len(_suffix_plan(s)[0]) for s in range(2, 7)] == [1, 3, 5, 13, 29]
 
     @staticmethod
     def assert_identical(g, p, q):
@@ -115,12 +166,12 @@ class TestSharedSuffixProduct:
 
 class TestGradedStages:
     def test_bracket_terms_per_block(self):
-        # the shared-suffix plan over every sparse entry makes 4, 24 and 240
+        # the shared-suffix plan over every sparse entry makes 2, 12 and 104
         filiform = group_from_dict({"step": 5, "layer_dims": [2, 1, 1, 1, 1], "bracket": [
             [3, 1, 2, 1], [4, 1, 3, 1], [5, 1, 4, 1], [6, 1, 5, 1]]})
         counts = [sum(len(brackets) * len(entries) for _, brackets, entries, _ in g._stages)
                   for g in (heis(), preset_group("engel"), filiform)]
-        assert counts == [4, 12, 60]
+        assert counts == [2, 6, 28]
 
 
 class TestNonFiniteFactors:
@@ -177,6 +228,12 @@ class TestHeisenbergLaw:
         g = heis()
         out = g.dilate(2.0, g.point(1.0, 1.0, 1.0))
         np.testing.assert_allclose(out, [2.0, 2.0, 4.0])
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_dilation_refuses_bad_factors(self, r):
+        # a NaN factor passes a bare r <= 0 test and would give NaN coordinates
+        with pytest.raises(ValueError, match="dilation factor"):
+            heis().dilate(r, heis().point(1.0, 1.0, 1.0))
 
     def test_hausdorff_dimension(self):
         assert heis().Q == 4

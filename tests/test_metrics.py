@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnot import metrics, randomness
 from carnot.algebra import MAX_STEP, ConfigurationError, group_from_dict, preset_group
@@ -247,6 +251,55 @@ class TestNorms:
         assert not d.ball_contains(g.zero(), 1.0, np.array([1.0 + 1e-9, 0.0, 0.0]))
 
 
+@lru_cache(maxsize=None)
+def _invariance_distance(case):
+    """dinf and koranyi at step 2; hebisch_sikora at steps 2, 3 and 5."""
+    if case in ("dinf", "koranyi"):
+        return (dinf if case == "dinf" else koranyi)(preset_group("heisenberg1"))
+    spec = {"hs-heisenberg1": "heisenberg1", "hs-engel": "engel", "hs-filiform5": FILIFORM5}
+    return hebisch_sikora(group_from_dict(spec[case]), validate=False)
+
+
+def _drawn_point(data, q, first):
+    """A point of [-1, 1]^q drawn by hypothesis, its first coordinate in `first`."""
+    rest = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=q - 1, max_size=q - 1))
+    return np.array([data.draw(st.floats(*first))] + rest)
+
+
+INVARIANCE_CASES = ["dinf", "koranyi", "hs-heisenberg1", "hs-engel", "hs-filiform5"]
+
+
+class TestInvarianceProperties:
+    """Left invariance and homogeneity, through the BCH product and the norm.
+
+    x and y are at least 0.5 apart in their first coordinate, so d(x, y) is
+    not small against the rounding of the products in the top layer.
+    """
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_left_invariance(self, case, data):
+        d = _invariance_distance(case)
+        h = d.group
+        p = _drawn_point(data, h.q, (-1.0, 1.0))
+        x, y = _drawn_point(data, h.q, (-1.0, -0.25)), _drawn_point(data, h.q, (0.25, 1.0))
+        assert d.distance(h.multiply(p, x), h.multiply(p, y)) == pytest.approx(
+            d.distance(x, y), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("case", INVARIANCE_CASES)
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_homogeneity(self, case, data):
+        d = _invariance_distance(case)
+        h = d.group
+        lam = data.draw(st.floats(1e-3, 1e3))
+        x, y = _drawn_point(data, h.q, (-1.0, -0.25)), _drawn_point(data, h.q, (0.25, 1.0))
+        assert d.norm(h.dilate(lam, x)) == pytest.approx(lam * d.norm(x), rel=1e-12, abs=0)
+        assert d.distance(h.dilate(lam, x), h.dilate(lam, y)) == pytest.approx(
+            lam * d.distance(x, y), rel=1e-9, abs=0)
+
+
 def _scattered_points(q, n, seed):
     # uniform directions in the unit box, scaled over six decades
     rng = np.random.default_rng(seed)
@@ -362,6 +415,47 @@ class TestCertifiedNorm:
                      np.sort(rng.integers(0, len(x), 5)), [len(x) - 1]):
             parts = [d.norm(part) for part in np.split(x, cuts)]
             assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("case", ["dinf", "hs-engel", "hs-filiform5", "steps"])
+    def test_a_wrong_start_costs_rounds_only(self, g, case):
+        # a start off by 1e+-3, or one that is not a positive float, gives the
+        # norms of the cold start, with the same NaN and zero lanes
+        if case == "steps":
+            rho = lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+            d = from_profile(g, lambda t: np.floor(4.0 * rho(t)) / 4.0, name="steps",
+                             validate=False)
+        elif case == "dinf":
+            d = dinf(g)
+        else:
+            d = hebisch_sikora(group_from_dict("engel" if case == "hs-engel" else FILIFORM5),
+                               validate=False)
+        x = _scattered_points(d.group.q, 3000, seed=30)
+        x[:20] = 0.0
+        x[20:40, -1] = np.nan
+        x[40:60, 0] = np.inf
+        cold = d.norm(x)
+        rng = np.random.default_rng(31)
+        with np.errstate(invalid="ignore"):  # 0 * inf on the zero lanes
+            mixed = cold * rng.choice([1e-3, 1.0, 1e3, 0.0, -1.0, np.nan, np.inf], len(x))
+        for start in (1e3 * cold, 1e-3 * cold, 0.0, np.nan, np.inf, -np.inf, mixed):
+            warm = d.norm(x, start=start)
+            assert np.isnan(warm).tolist() == np.isnan(cold).tolist()
+            assert (warm == 0.0).tolist() == (cold == 0.0).tolist()
+            ok = np.isfinite(cold) & (cold > 0.0)
+            np.testing.assert_allclose(warm[ok], cold[ok], rtol=NORM_RTOL, atol=0)
+        assert d.norm(x[100], start=np.nan) == cold[100]
+        assert d.norm(x[100], start=7.0) == pytest.approx(cold[100], rel=NORM_RTOL, abs=0)
+
+    def test_the_mirror_start_needs_one_round(self):
+        # y^-1 x = (x^-1 y)^-1 has the norm d(x, y): one round per block certifies it
+        h = group_from_dict(FILIFORM5)
+        d = hebisch_sikora(h, validate=False)
+        x, y = np.random.default_rng(32).uniform(-1, 1, (2, 20000, h.q))
+        dxy = d.distance(x, y)
+        calls = _count_profile_calls(d)
+        dyx = d.distance(y, x, start=dxy)
+        assert len(calls) == -(-len(x) // NORM_LANES)
+        np.testing.assert_allclose(dyx, dxy, rtol=1e-14, atol=0)
 
     def test_non_finite_and_extreme_points(self, g):
         d, hs = dinf(g), hebisch_sikora(g)
@@ -499,10 +593,10 @@ class TestAxiomSampler:
                          name="hs", validate=False)
         finite = d.norm
 
-        def norm(x):
+        def norm(x, start=None):
             # the probes, basis vectors and their products, have x1 in {0, +-1, +-2}
             x = np.asarray(x, dtype=float)
-            out = np.where((0.25 < x[..., 0]) & (x[..., 0] < 0.75), np.nan, finite(x))
+            out = np.where((0.25 < x[..., 0]) & (x[..., 0] < 0.75), np.nan, finite(x, start))
             return float(out) if x.ndim == 1 else out
 
         d.norm = norm
@@ -511,6 +605,23 @@ class TestAxiomSampler:
         assert np.isnan(checks["triangle"].worst)
         assert not checks["triangle"].ok and not checks["symmetry"].ok
         assert not report.ok
+
+    def test_an_asymmetric_product_fails_symmetry(self):
+        # y^-1 x is (x^-1 y)^-1 dilated by 1 + 1e-3 on some lanes: the start
+        # d(x, y) must not certify d(y, x) there
+        h = group_from_dict(FILIFORM5)
+        d = hebisch_sikora(h, validate=False)
+        product = h.multiply
+
+        def skewed(p, q):
+            out = product(p, q)
+            lanes = np.asarray(p)[..., :1] > 0.5
+            return np.where(lanes, h.dilate(1.0 + 1e-3, out), out)
+
+        h.multiply = skewed
+        report = check_axioms(d, n_samples=3000, seed=0)
+        symmetry = {c.name: c for c in report.checks}["symmetry"]
+        assert not symmetry.ok and symmetry.worst > 1e-4
 
     def test_determinism(self, g):
         d = koranyi(g)
@@ -526,7 +637,8 @@ def looped_axiom_report(d, n_samples, seed):
     The probes are (x, y) = (+-e_i, e_j) in the order i, j, sign; each is
     scored as ||x*y|| - ||x|| - ||y|| with the witness (0, x, x*y).  A
     non-finite score wins and is kept, else a strictly larger one replaces
-    the current worst.  The random blocks follow the same rule.
+    the current worst.  The random blocks follow the same rule, d(y, x)
+    started at d(x, y) and the dilated pair at r d(x, y), as in check_axioms.
     """
     g = d.group
     checks = {}
@@ -554,11 +666,12 @@ def looped_axiom_report(d, n_samples, seed):
         dxy, dyz, dxz = d.distance(X, Y), d.distance(Y, Z), d.distance(X, Z)
         for k, viol in enumerate(dxz - dxy - dyz):
             update("triangle", viol, (X[k].tolist(), Y[k].tolist(), Z[k].tolist()))
-        for k, sym in enumerate(np.abs(dxy - d.distance(Y, X))):
+        for k, sym in enumerate(np.abs(dxy - d.distance(Y, X, start=dxy))):
             update("symmetry", sym, (X[k].tolist(), Y[k].tolist()))
         Xr = np.stack([g.dilate(ri, xi) for ri, xi in zip(r[:64], X[:64])])
         Yr = np.stack([g.dilate(ri, yi) for ri, yi in zip(r[:64], Y[:64])])
-        for k, hom in enumerate(np.abs(d.distance(Xr, Yr) - r[:64] * dxy[:64])):
+        rd = r[:64] * dxy[:64]
+        for k, hom in enumerate(np.abs(d.distance(Xr, Yr, start=rd) - rd)):
             update("homogeneity", hom, (X[k].tolist(), Y[k].tolist(), float(r[k])))
     return sorted(checks.items())
 

@@ -14,7 +14,9 @@ lies in layers >= L, so it is held from the first row of layer L, its
 bracket keeps only the sparse entries that read those rows, and its words
 are added into those rows alone: 2, 6 and 28 bracket terms per block on
 heisenberg1, engel and the step-5 filiform group, against 2, 12 and 104
-over every entry, with the same bits.
+over every entry, with the same bits.  Layer norms are read off (q, m)
+columns as (iota, m) rows, so a distance's x^-1 y goes from the product's
+columns to its layer norms (`quotient_layer_norms`) with no (n, q) product.
 """
 
 from __future__ import annotations
@@ -291,11 +293,15 @@ class GradedGroup:
 
     # -- algebra operations ------------------------------------------------
 
+    @staticmethod
+    def _broadcast(a, b):
+        """Two (q,) or (n, q) inputs as broadcast (n, q) float batches."""
+        return np.broadcast_arrays(np.atleast_2d(np.asarray(a, dtype=float)),
+                                   np.atleast_2d(np.asarray(b, dtype=float)))
+
     def _columns(self, kernel, a, b):
         """`kernel` over (q, m) column blocks of two broadcast batches; (n, q) result."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        a, b = np.broadcast_arrays(a, b)
+        a, b = self._broadcast(a, b)
         out = np.empty(a.shape)
         for lo in range(0, a.shape[0], CHUNK_COLUMNS):
             hi = lo + CHUNK_COLUMNS
@@ -362,26 +368,53 @@ class GradedGroup:
         p = np.asarray(p, dtype=float)
         return p[..., self.layer_starts[j - 1]:self.layer_ends[j - 1]]
 
+    def _layer_rows(self, c):
+        """(iota, m) Euclidean layer norms of a (q, m) column block.
+
+        Each layer's squares are summed row by row, then square-rooted.  A
+        layer whose sum is subnormal, infinite, or zero with a nonzero entry
+        is summed again by hypot, which scales as it goes, so only a norm out
+        of range underflows or overflows.
+        """
+        sq = np.empty((self.step, c.shape[1]))
+        with np.errstate(over="ignore"):
+            for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
+                np.multiply(c[s], c[s], out=sq[j])
+                for k in range(s + 1, e):
+                    sq[j] += c[k] * c[k]
+            out = np.sqrt(sq)
+            odd = (sq < np.finfo(float).tiny) | (sq == np.inf)
+            if odd.any():
+                for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
+                    cols = np.flatnonzero(odd[j])
+                    cols = cols[c[s:e, cols].any(axis=0)]  # an all-zero layer keeps its 0
+                    out[j, cols] = np.hypot.reduce(c[s:e, cols], axis=0, initial=0.0)
+        return out
+
     def layer_norms(self, p):
         """Euclidean norms (|x_1|, ..., |x_iota|) of a (q,) or (n, q) input.
 
-        A layer whose sum of squares is subnormal, infinite, or zero with a
-        nonzero entry is summed again by hypot, which scales as it goes, so
-        only a norm out of range underflows or overflows.
+        The (n, iota) result is the transpose of `_layer_rows` on p's columns.
         """
-        p2 = np.ascontiguousarray(np.atleast_2d(np.asarray(p, dtype=float)))
-        sq = np.empty((p2.shape[0], self.step))
-        for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
-            sq[:, j] = np.einsum("nc,nc->n", p2[:, s:e], p2[:, s:e])
-        out = np.sqrt(sq)
-        odd = (sq < np.finfo(float).tiny) | (sq == np.inf)
-        if odd.any():
-            for j, (s, e) in enumerate(zip(self.layer_starts, self.layer_ends)):
-                rows = np.flatnonzero(odd[:, j])
-                rows = rows[p2[rows, s:e].any(axis=1)]  # an all-zero layer keeps its 0
-                with np.errstate(over="ignore"):
-                    out[rows, j] = np.hypot.reduce(p2[rows, s:e], axis=1, initial=0.0)
-        return out[0] if np.asarray(p).ndim == 1 else out
+        p = np.asarray(p, dtype=float)
+        out = self._layer_rows(np.atleast_2d(p).T).T
+        return out[0] if p.ndim == 1 else out
+
+    def quotient_layer_norms(self, x, y):
+        """(iota, n) layer norms of x^-1 y for two broadcast (q,) or (n, q) inputs.
+
+        Each CHUNK_COLUMNS block of x is negated as it is copied to columns,
+        and the BCH product's columns go straight to `_layer_rows`; no (n, q)
+        product is written.  The result is `layer_norms(multiply(inverse(x),
+        y)).T` bit for bit.
+        """
+        a, b = self._broadcast(x, y)
+        out = np.empty((self.step, a.shape[0]))
+        for lo in range(0, a.shape[0], CHUNK_COLUMNS):
+            hi = lo + CHUNK_COLUMNS
+            out[:, lo:hi] = self._layer_rows(
+                self._bch_columns(np.negative(a[lo:hi].T, order="C"), b[lo:hi].T.copy()))
+        return out
 
     def __repr__(self):
         return f"GradedGroup(step={self.step}, layer_dims={self.layer_dims}, Q={self.Q})"

@@ -197,7 +197,12 @@ def _probe_lines(spans, through):
 
 
 def _patch_gauge(patch: SurfacePatch, d: DistanceSpec, center, r, U, V):
-    """ball_gauge of the patch's images at (U, V), a NaN image read as +inf (outside)."""
+    """ball_gauge of the patch's images at (U, V), a NaN image read as +inf (outside).
+
+    `np.nan_to_num` also maps a gauge of +inf to the largest float, which
+    the false-position searches see as a finite value; their bits depend
+    on it.
+    """
     return np.nan_to_num(d.ball_gauge(center, r, patch.points(U, V)), nan=np.inf)
 
 

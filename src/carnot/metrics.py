@@ -201,92 +201,130 @@ class DistanceSpec:
         it is a positive finite float (see `_norm_multiradial`): a wrong one
         costs rounds, never accuracy.
         """
-        a = np.atleast_2d(self.group.layer_norms(np.asarray(x, dtype=float)))  # (n, iota)
-        r = np.broadcast_to(np.nan if start is None else np.asarray(start, dtype=float), len(a))
-        k = -(-len(a) // NORM_LANES) or 1  # near-equal blocks
-        out = np.concatenate([self._norm_multiradial(*block) for block in
-                              zip(np.array_split(a, k), np.array_split(r, k))])
-        return float(out[0]) if np.asarray(x).ndim == 1 else out
+        x = np.asarray(x, dtype=float)
+        out = self._norm_rows(np.atleast_2d(self.group.layer_norms(x)).T, start)
+        return float(out[0]) if x.ndim == 1 else out
+
+    def _norm_rows(self, a, start):
+        """Norms of the points with (iota, n) layer norm rows `a`, started at `start`.
+
+        The points go to `_norm_multiradial` in near-equal blocks of at most
+        NORM_LANES; they are independent, so a split keeps every bit.
+        """
+        r = np.broadcast_to(np.nan if start is None else np.asarray(start, dtype=float),
+                            a.shape[1])
+        k = -(-a.shape[1] // NORM_LANES) or 1
+        return np.concatenate([self._norm_multiradial(*block) for block in
+                               zip(np.array_split(a, k, axis=1), np.array_split(r, k))])
 
     def _norm_multiradial(self, a, start):
-        """Norms of the points with layer norms `a`, each certified to NORM_RTOL.
+        """Norms of the points with (iota, m) layer norm rows `a`, certified to NORM_RTOL.
 
-        `norm` passes at most NORM_LANES points at a time, in near-equal
-        blocks; the points are independent, so a split keeps every bit.  Each
-        round evaluates phi at r(1 - delta) and r(1 + delta), delta =
-        NORM_RTOL / 2, for the points still open.  A point outside the ball at
-        the first and not at the second is certified and gets the secant root
-        of log phi against log r through that pair, clamped into it.
-        Otherwise both evaluations narrow its bracket [lo, hi], and the next r
-        is that secant root when it lies inside the bracket, else 2 lo, hi / 2
-        or sqrt(lo) sqrt(hi), computed for those points only (the product lo
-        hi would overflow or underflow past 1e+-154); hi - lo <= NORM_RTOL hi
+        Each round evaluates phi at r(1 - delta) and r(1 + delta), delta =
+        NORM_RTOL / 2, for the points still open, as the (2, m, iota) view of
+        one (iota, 2, m) array.  A point outside the ball at the first and
+        not at the second is certified and gets the secant root of log phi
+        against log r through that pair, clamped into it.  Otherwise both
+        evaluations narrow its bracket [lo, hi], and the next r is that
+        secant root when it lies inside the bracket, else 2 lo, hi / 2 or
+        sqrt(lo) sqrt(hi), computed for those points only (the product lo hi
+        would overflow or underflow past 1e+-154); hi - lo <= NORM_RTOL hi
         also certifies.  The first r is `start` where it is a positive finite
         float, else phi(a), the norm itself when phi(a / r^w) = phi(a) / r
         (dinf, koranyi), or max_j a_j^(1/j) where phi(a) is not a positive
-        float either.  A non-finite coordinate or phi value, or a
-        point still open after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are
-        running products, each clamped to the smallest normal float: below a
-        norm of about 1e-308^(1/iota) (1e-62 at step 5) the result is NaN or
-        unresolved.
+        float either.  A non-finite coordinate or phi value, or a point still
+        open after NORM_MAX_ROUNDS, gives NaN.  Powers r^j are running
+        products, each clamped to the smallest normal float in a round where
+        some open point's r(1 - delta)^iota is below it: below a norm of
+        about 1e-308^(1/iota) (1e-62 at step 5) the result is NaN or
+        unresolved.  A certified or failed point is dead: it is never written
+        again, and the arrays drop the dead points once they are 1/8 of them.
         """
-        iota, a = a.shape[1], a.T.copy()  # (iota, n): one contiguous row per layer
+        iota, m = a.shape
+        tiny = np.finfo(float).tiny
         finite, nonzero = np.isfinite(a).all(axis=0), (a > 0.0).any(axis=0)
         out = np.where(finite & ~nonzero, 0.0, np.nan)
         idx = np.flatnonzero(finite & nonzero)
-        a, r = a[:, idx], start[idx]  # r: a copy
+        if not len(idx):
+            return out
+        if len(idx) < m:
+            a, r = a[:, idx], start[idx]  # r: a copy
+        else:
+            r = start.copy()
         delta = np.array([[-0.5 * NORM_RTOL], [0.5 * NORM_RTOL]])
         du = float(np.log1p(delta[1, 0]) - np.log1p(delta[0, 0]))  # log(ends[1] / ends[0])
-        lo, hi = np.zeros(len(idx)), np.full(len(idx), np.inf)
+        lo, hi, alive = np.zeros(len(r)), np.full(len(r), np.inf), np.ones(len(r), dtype=bool)
         with np.errstate(all="ignore"):  # each lane handles its own inf and NaN
-            cold = np.flatnonzero(~(np.isfinite(r) & (r > 0.0)))  # these start at phi(a)
-            if len(cold):
+            cold = ~(np.isfinite(r) & (r > 0.0))  # these start at phi(a)
+            if cold.all():
+                r[:] = self.profile(a.T)
+            elif cold.any():
                 r[cold] = self.profile(a[:, cold].T)
-            off = cold[~(np.isfinite(r[cold]) & (r[cold] > 0.0))]  # there at max_j a_j^(1/j)
+            off = np.flatnonzero(cold & ~(np.isfinite(r) & (r > 0.0)))  # there at max_j a_j^(1/j)
             r[off] = (a[:, off] ** (1.0 / np.arange(1, iota + 1))[:, None]).max(axis=0)
             for _ in range(NORM_MAX_ROUNDS):
-                if not len(idx):
-                    break
                 ends = r * (1.0 + delta)  # (2, m)
-                t, power = np.empty((iota, 2, len(idx))), ends
+                # rounding is monotone, so the smallest ends[0] has the smallest
+                # powers; a dead lane can only make the clamp run
+                low = power = ends[0].min()
+                for _ in range(iota - 1):
+                    power = power * low
+                clamp = not power >= tiny
+                t, power = np.empty((iota, 2, len(r))), ends.copy()
                 for j in range(iota):  # t[j] = a_j / ends^(j+1), the power a running product
-                    np.divide(a[j], np.maximum(power, np.finfo(float).tiny), out=t[j])
-                    power = power * ends
-                f = np.log(self.profile(t.transpose(1, 2, 0).reshape(-1, iota))).reshape(2, -1)
+                    np.divide(a[j], np.maximum(power, tiny) if clamp else power, out=t[j])
+                    if j + 1 < iota:
+                        power *= ends
+                f = np.log(self.profile(t.transpose(1, 2, 0)))  # (2, m)
                 step = ends[0] * np.exp(f[0] * du / (f[0] - f[1]))
                 out_lo, out_hi = f > 0.0  # outside the ball at each end
-                lo = np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)))
-                hi = np.minimum(hi, np.where(~out_lo, ends[0], np.where(~out_hi, ends[1], np.inf)))
-                r = step.copy()
-                miss = np.flatnonzero(~((lo < step) & (step < hi)))  # secant root off [lo, hi]
-                l, h = lo[miss], hi[miss]
-                r[miss] = np.where(h == np.inf, 2.0 * l,
-                                  np.where(l == 0.0, 0.5 * h, np.sqrt(l) * np.sqrt(h)))
-                sane = (0.0 < hi) & (lo <= hi) & ~np.isnan(f).any(axis=0)
-                done = sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
-                if done.any():
-                    out[idx[done]] = np.where(np.isfinite(step), np.clip(step, lo, hi), r)[done]
-                keep = np.flatnonzero(sane & ~done)
-                if len(keep) < len(idx):
+                np.maximum(lo, np.where(out_hi, ends[1], np.where(out_lo, ends[0], 0.0)), out=lo)
+                np.minimum(hi, np.where(out_lo, np.where(out_hi, np.inf, ends[1]), ends[0]), out=hi)
+                r = step
+                miss = np.flatnonzero(alive & ~((lo < step) & (step < hi)))  # root off [lo, hi]
+                if len(miss):
+                    r = step.copy()
+                    l, h = lo[miss], hi[miss]
+                    r[miss] = np.where(h == np.inf, 2.0 * l,
+                                      np.where(l == 0.0, 0.5 * h, np.sqrt(l) * np.sqrt(h)))
+                sane = (0.0 < hi) & (lo <= hi) & ~(np.isnan(f[0]) | np.isnan(f[1]))
+                done = alive & sane & ((out_lo & ~out_hi) | (lo >= (1.0 - NORM_RTOL) * hi))
+                fin = np.flatnonzero(done)
+                if len(fin):
+                    s = step[fin]
+                    out[idx[fin]] = np.where(np.isfinite(s), np.clip(s, lo[fin], hi[fin]), r[fin])
+                alive &= sane & ~done
+                live = np.count_nonzero(alive)
+                if not live:
+                    break
+                if 8 * live <= 7 * len(alive):
+                    keep = np.flatnonzero(alive)
                     idx, a, r, lo, hi = idx[keep], a[:, keep], r[keep], lo[keep], hi[keep]
+                    alive = np.ones(live, dtype=bool)
         return out
 
     def distance(self, x, y, start=None):
-        """d(x, y) = ||x^-1 y||, the norm started at `start` as in `norm`."""
-        g = self.group
-        return self.norm(g.multiply(g.inverse(np.asarray(x, dtype=float)),
-                                    np.asarray(y, dtype=float)), start=start)
+        """d(x, y) = ||x^-1 y||, the norm started at `start` as in `norm`.
+
+        The layer norms are read off the columns of the product
+        (`GradedGroup.quotient_layer_norms`), which is never materialized.
+        """
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        out = self._norm_rows(self.group.quotient_layer_norms(x, y), start)
+        return float(out[0]) if x.ndim == 1 and y.ndim == 1 else out
 
     def ball_gauge(self, center, r, x):
-        """phi of the layer norms of center^-1 * x dilated by 1/r; batched over x."""
+        """phi of the layer norms of center^-1 * x dilated by 1/r; batched over x.
+
+        The layer norms are read off the product's columns as in `distance`,
+        and phi sees the (n, iota) view of the dilated rows.
+        """
         if not 0.0 < r < np.inf:
             raise ValueError(f"radius must be positive and finite, got {r}")
         g = self.group
-        x2 = np.atleast_2d(np.asarray(x, dtype=float))
-        u = np.atleast_2d(g.multiply(g.inverse(np.asarray(center, dtype=float))[None, :], x2))
-        a = np.atleast_2d(g.layer_norms(u))
+        a = g.quotient_layer_norms(np.asarray(center, dtype=float)[None, :], x)
         weights = np.arange(1, g.step + 1, dtype=float)
-        out = self.profile(a / r ** weights)
+        out = self.profile((a / (r ** weights)[:, None]).T)
         return float(out[0]) if np.asarray(x).ndim == 1 else out
 
     def ball_contains(self, center, r, x):

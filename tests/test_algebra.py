@@ -1,15 +1,16 @@
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import factorial
 
 import numpy as np
 import pytest
 
-from carnot.algebra import (ATOL, MAX_STEP, ConfigurationError, GradedGroup,
+from carnot.algebra import (ATOL, CHUNK_COLUMNS, MAX_STEP, ConfigurationError, GradedGroup,
                             StructureConstants, _dynkin_words, _suffix_plan, group_from_dict,
                             group_law_checks, preset_group,
                             structure_constants_from_sparse, validate_grading)
-from carnot.metrics import hebisch_sikora
+from carnot.metrics import NORM_LANES, hebisch_sikora
 
 
 def heis():
@@ -383,3 +384,50 @@ def test_layer_norms_at_the_float_extremes():
                                          [5e300, 0.0, 1e-320]], rtol=1e-15)
     assert out[2, 0] == 0.0 and out[2, 1] == np.inf and np.isnan(out[2, 2])
     assert out[3].tolist() == [np.inf, 0.0, 0.0]
+
+
+class TestQuotientLayerNorms:
+    """The rows kernel is the layer norms of the materialized product, bit for bit."""
+
+    @staticmethod
+    def reference(g, x, y):
+        return g.layer_norms(g.multiply(g.inverse(x), y)).T
+
+    @pytest.mark.parametrize("n", [CHUNK_COLUMNS - 1, CHUNK_COLUMNS + 1,
+                                   NORM_LANES - 1, NORM_LANES + 1])
+    def test_batches_across_blocks(self, stepped, n):
+        rng = np.random.default_rng(n)
+        x, y = rng.uniform(-1, 1, (2, n, stepped.q)) * 10.0 ** rng.uniform(-3, 3, (2, n, 1))
+        # lanes of 0, NaN, +-inf and 1e+-300 in either factor
+        special = np.array([0.0, np.nan, np.inf, -np.inf, 1e300, -1e-300])
+        for z in (x, y):
+            k = rng.integers(0, n, 40)
+            z[k, rng.integers(0, stepped.q, 40)] = special[np.arange(40) % len(special)]
+            z[k[:3]] = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):  # the product's inf - inf, inf * 0
+            out = stepped.quotient_layer_norms(x, y)
+            ref = self.reference(stepped, x, y)
+        assert out.shape == (stepped.step, n) and out.tobytes() == ref.tobytes()
+
+    def test_extreme_finite_lanes_raise_no_warning(self, stepped):
+        # x = 0 leaves y's coordinates as the product: layer squares that
+        # overflow or underflow are summed again, with no RuntimeWarning
+        y = np.zeros((6, stepped.q))
+        y[0], y[1], y[2, -1], y[3, 0], y[4, :2] = 1e300, -1e-300, 1e300, 5e-324, 3e200
+        y[5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = stepped.quotient_layer_norms(np.zeros(stepped.q), y)
+            ref = self.reference(stepped, np.zeros(stepped.q), y)
+        assert out.tobytes() == ref.tobytes()
+        assert np.isfinite(out[:, :5]).all() and np.isnan(out[:, 5]).any()
+
+    def test_broadcast_and_empty(self, stepped):
+        rng = np.random.default_rng(26)
+        center, x = rng.uniform(-1, 1, (1, stepped.q)), rng.uniform(-1, 1, (300, stepped.q))
+        for a, b in ((center, x), (x, center), (center[0], x), (center[0], x[0])):
+            out = stepped.quotient_layer_norms(a, b)
+            ref = np.atleast_2d(stepped.layer_norms(stepped.multiply(stepped.inverse(a), b))).T
+            assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+        assert stepped.quotient_layer_norms(np.zeros((0, stepped.q)), center).shape == (
+            stepped.step, 0)

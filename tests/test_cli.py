@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -466,3 +467,31 @@ class TestDeterminism:
         a = run_proc(tmp_path / "a.csv")
         b = run_proc(tmp_path / "b.csv")
         assert a == b
+
+
+# the configs of perfbench/configs/ that the benchmark runs through the CLI,
+# with the exit code it expects: dinf at c = 10 is refused with a counterexample
+BENCHMARK_CLI_CONFIGS = [
+    ("beta", "beta_koranyi.json", 0),
+    ("beta", "beta_hebisch_sikora.json", 0),
+    ("check-distance", "check_distance_dinf2.json", 0),
+    ("check-distance", "check_distance_dinf10.json", 2),
+    ("check-distance", "check_distance_engel_hs.json", 0),
+    ("check-distance", "check_distance_filiform_hs.json", 0),
+    ("check-group", "check_group_engel.json", 0),
+    ("check-group", "check_group_filiform.json", 0),
+    ("graph-area", "graph_area.json", 0),
+]
+
+
+@pytest.mark.parametrize("command, config, code", BENCHMARK_CLI_CONFIGS,
+                         ids=[c for _, c, _ in BENCHMARK_CLI_CONFIGS])
+def test_benchmark_cli_configs_run(tmp_path, capsys, command, config, code):
+    # an API change that breaks a benchmark op fails here first, at 2000 samples
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "configs" / config
+    out = tmp_path / "out.csv"
+    assert run([command, "--config", str(path), "--seed", "1", "--samples", "2000",
+                "--out", str(out)]) == code
+    assert out.read_text().strip()
+    if code == 2:
+        assert "counterexample for triangle" in capsys.readouterr().out

@@ -409,7 +409,7 @@ class TestCertifiedNorm:
         x = _scattered_points(d.group.q, 3 * NORM_LANES + 5, seed=28)
         whole = d.norm(x)
         # phi never sees more than two rows per lane of the largest block
-        assert max(shape[0] for shape in calls) <= 2 * NORM_LANES
+        assert max(np.prod(shape[:-1]) for shape in calls) <= 2 * NORM_LANES
         rng = np.random.default_rng(29)
         for cuts in ([1, NORM_LANES, NORM_LANES + 1, 2 * NORM_LANES + 3],
                      np.sort(rng.integers(0, len(x), 5)), [len(x) - 1]):
@@ -538,6 +538,79 @@ class TestCertifiedNorm:
             assert len(calls) <= blocks * (1 + rounds)
 
 
+class TestRowsPath:
+    """distance and norm read the same layer-norm rows; rounds keep every bit."""
+
+    @pytest.mark.parametrize("case", ["dinf", "hs-engel", "hs-filiform5"])
+    def test_distance_is_the_norm_of_the_product(self, g, case):
+        d = dinf(g) if case == "dinf" else _invariance_distance(case)
+        h = d.group
+        rng = np.random.default_rng(40)
+        x, y = rng.uniform(-1, 1, (2, NORM_LANES + 3, h.q))
+        x[:4, 0] = [np.nan, 1e300, -1e-300, 0.0]
+        x[4] = 0.0
+        start = rng.choice([np.nan, 0.0, 1.0, 1e-3], len(x))
+        norm_of = lambda a, b, s=None: d.norm(h.multiply(h.inverse(a), b), start=s)
+        for a, b, s in ((x, y, None), (x, y, start), (x[0], y, None), (x, y[0], 2.0),
+                        (x[0][None, :], y[0], None), (x[:0], y[0], None)):
+            with np.errstate(over="ignore", invalid="ignore"):  # the 1e300 lane overflows
+                out, ref = d.distance(a, b, s), norm_of(a, b, s)
+            assert np.shape(out) == np.shape(ref) and np.asarray(out).tobytes() == np.asarray(
+                ref).tobytes()
+        scalar = d.distance(x[7], y[7])
+        assert isinstance(scalar, float) and scalar == norm_of(x[7], y[7])
+
+    @pytest.mark.parametrize("case", ["hs-filiform5", "steps-fmax"])
+    def test_lanes_finishing_over_rounds_match_single_points(self, g, case):
+        # lanes over six decades finish over many rounds (up to 7 on
+        # filiform, about 40 on the slopeless floor profile); a dead lane
+        # stays in the arrays until 1/8 of them are dead, and is never written
+        # again, even where phi maps NaN to a finite value
+        if case == "steps-fmax":
+            rho = lambda t: np.maximum(t[..., 0], 2.0 * np.sqrt(t[..., 1]))
+            d = from_profile(g, lambda t: np.fmax(np.floor(4.0 * rho(t)) / 4.0, 0.0),
+                             name="steps-fmax", validate=False)
+        else:
+            d = hebisch_sikora(group_from_dict(FILIFORM5), validate=False)
+        x = _scattered_points(d.group.q, 600, seed=41)
+        x[::97, -1] = np.nan
+        x[::89] = 0.0
+        calls = _count_profile_calls(d)
+        batch = d.norm(x)
+        assert len(calls) >= 6  # a start and at least five rounds
+        single = np.array([d.norm(p) for p in x])
+        assert batch.tobytes() == single.tobytes()
+        starts = np.where(np.arange(len(x)) % 3 == 0, np.nan, 1.7 * np.nan_to_num(single))
+        assert d.norm(x, start=starts).tobytes() == np.array(
+            [d.norm(p, start=s) for p, s in zip(x, starts)]).tobytes()
+
+
+# graded automorphisms: a map of each layer that keeps its Euclidean norm and
+# commutes with the bracket, so norms and distances keep their bits
+AUTOMORPHISMS = {
+    "heisenberg1": [lambda p: p * [-1.0, 1.0, -1.0], lambda p: p[..., [1, 0, 2]] * [1.0, 1.0, -1.0]],
+    "engel": [lambda p: p * [1.0, -1.0, -1.0, -1.0]],
+}
+
+
+@pytest.mark.parametrize("case", ["dinf", "koranyi", "hs-heisenberg1", "hs-engel"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_graded_automorphisms_keep_every_bit(case, data):
+    d = _invariance_distance(case)
+    h = d.group
+    maps = AUTOMORPHISMS["engel" if case == "hs-engel" else "heisenberg1"]
+    scale = 10.0 ** data.draw(st.integers(-3, 3))
+    x, y = (scale * _drawn_point(data, h.q, (-1.0, 1.0)) for _ in range(2))
+    batch = np.stack([x, y, h.multiply(x, y)])
+    for phi in maps:
+        assert d.norm(phi(x)) == d.norm(x)
+        assert d.distance(phi(x), phi(y)) == d.distance(x, y)
+        assert d.norm(phi(batch)).tobytes() == d.norm(batch).tobytes()
+        assert d.distance(phi(batch), phi(batch[::-1])).tobytes() == d.distance(
+            batch, batch[::-1]).tobytes()
+
+
 @pytest.mark.parametrize("step", range(1, MAX_STEP + 1))
 def test_hebisch_sikora_profile_bits(step):
     # the evaluator sums its squares column by column, with the bits of a sum
@@ -591,7 +664,7 @@ class TestAxiomSampler:
     def test_nan_in_a_random_block_fails_the_check(self, g):
         d = from_profile(g, lambda t: np.sqrt(np.sum(t ** 2, axis=-1)) / 0.5,
                          name="hs", validate=False)
-        finite = d.norm
+        finite, finite_distance = d.norm, d.distance
 
         def norm(x, start=None):
             # the probes, basis vectors and their products, have x1 in {0, +-1, +-2}
@@ -599,7 +672,13 @@ class TestAxiomSampler:
             out = np.where((0.25 < x[..., 0]) & (x[..., 0] < 0.75), np.nan, finite(x, start))
             return float(out) if x.ndim == 1 else out
 
-        d.norm = norm
+        def distance(x, y, start=None):
+            # the first coordinate of x^-1 y is y1 - x1
+            u1 = np.asarray(y, dtype=float)[..., 0] - np.asarray(x, dtype=float)[..., 0]
+            out = np.where((0.25 < u1) & (u1 < 0.75), np.nan, finite_distance(x, y, start))
+            return float(out) if np.ndim(out) == 0 else out
+
+        d.norm, d.distance = norm, distance
         report = check_axioms(d, g, n_samples=2000, seed=0)
         checks = {c.name: c for c in report.checks}
         assert np.isnan(checks["triangle"].worst)
@@ -611,14 +690,15 @@ class TestAxiomSampler:
         # d(x, y) must not certify d(y, x) there
         h = group_from_dict(FILIFORM5)
         d = hebisch_sikora(h, validate=False)
-        product = h.multiply
+        rows = h.quotient_layer_norms
 
-        def skewed(p, q):
-            out = product(p, q)
-            lanes = np.asarray(p)[..., :1] > 0.5
-            return np.where(lanes, h.dilate(1.0 + 1e-3, out), out)
+        def skewed(x, y):
+            # layer j of a dilated product scales by (1 + 1e-3)^j; p = x^-1
+            out = rows(x, y)
+            lanes = -np.atleast_2d(x)[:, 0] > 0.5
+            return np.where(lanes, out * (1.0 + 1e-3) ** h._weights[h.layer_starts, None], out)
 
-        h.multiply = skewed
+        h.quotient_layer_norms = skewed
         report = check_axioms(d, n_samples=3000, seed=0)
         symmetry = {c.name: c for c in report.checks}["symmetry"]
         assert not symmetry.ok and symmetry.worst > 1e-4

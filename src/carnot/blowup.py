@@ -12,6 +12,7 @@ characteristic points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,6 +33,7 @@ LOCATOR_LEVELS = 2
 LOCATOR_ZOOM = 8
 LOCATOR_SCAN = 16
 LOCATOR_STEPS = 32
+GRID_POINTS = 16384
 
 
 def _require_heisenberg(g: GradedGroup):
@@ -174,13 +176,31 @@ def homogeneous_tangent(patch: SurfacePatch, u, v) -> TangentReport:
 
 # -- quadrature of the surface measure --------------------------------------
 
-def _midpoint_grid(box, n):
-    """Flattened n x n midpoint-rule nodes (U, V) on `box`, and the cell area."""
+def _grid_blocks(box, n):
+    """The n x n midpoint-rule nodes on `box` in flat blocks, and the cell area.
+
+    Node i n + j lies at the i-th u midpoint and the j-th v midpoint.  The
+    blocks are (slice, U, V) over consecutive flat indices, at most
+    GRID_POINTS nodes each, so no caller holds n^2 nodes at once.  An n that
+    is not an integer >= 1 raises ValueError.
+    """
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise ValueError(f"n_grid must be an integer >= 1, got {n!r}")
     (u0, u1), (v0, v1) = box
     uu = u0 + (u1 - u0) * (np.arange(n) + 0.5) / n
     vv = v0 + (v1 - v0) * (np.arange(n) + 0.5) / n
-    U, V = np.meshgrid(uu, vv, indexing="ij")
-    return U.ravel(), V.ravel(), (u1 - u0) * (v1 - v0) / (n * n)
+
+    def blocks():
+        for b in range(0, n * n, GRID_POINTS):
+            idx = np.arange(b, min(b + GRID_POINTS, n * n))
+            yield slice(b, b + len(idx)), uu[idx // n], vv[idx % n]
+    return blocks(), (u1 - u0) * (v1 - v0) / (n * n)
+
+
+def _extremes(points):
+    """The first rows of least and greatest u, then of least and greatest v."""
+    return points[[np.argmin(points[:, 0]), np.argmax(points[:, 0]),
+                   np.argmin(points[:, 1]), np.argmax(points[:, 1])]]
 
 
 def _probe_lines(spans, through):
@@ -259,8 +279,10 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
     closes every bracket between it and the sample before, keeping the
     outside end.  Without `search` an n x n hit grid on the domain gives
     the witnesses, `inside` among them, and the probe lines span the hits
-    widened by a cell; with it `inside` witnesses every edge and the lines
-    span `search`.  A box that leaves its lines' span, or is under
+    widened by a cell; the grid is evaluated in `_grid_blocks` and each block
+    keeps only its extreme hits, so the witnesses are those of the whole
+    grid.  With `search` `inside` witnesses every edge and the lines span
+    `search`.  A box that leaves its lines' span, or is under
     1/LOCATOR_ZOOM of it, or has an edge off the domain boundary that reads
     inside, is probed again from `inside`: on itself widened by its width on
     each side, an edge that read inside from the domain's edge.  Returns
@@ -270,18 +292,20 @@ def _param_bounding_box(patch: SurfacePatch, d: DistanceSpec, center, r, inside,
     """
     dom, inside = np.array(patch.domain), np.asarray(inside, dtype=float)
     if search is None:
-        outer = dom
-        U, V, _ = _midpoint_grid(patch.domain, n)
-        hit = d.ball_contains(center, r, patch.points(U, V))  # NaN is outside
-        hits = np.vstack([np.stack([U[hit], V[hit]], axis=1), inside])
+        outer, hits = dom, []
+        blocks, _ = _grid_blocks(patch.domain, n)
+        for _, U, V in blocks:
+            hit = d.ball_contains(center, r, patch.points(U, V))  # NaN is outside
+            if np.any(hit):
+                hits.append(_extremes(np.stack([U[hit], V[hit]], axis=1)))
+        hits = np.vstack(hits + [inside])
         cell = np.diff(dom, axis=1)[:, 0] / n
         span = np.stack([np.maximum(dom[:, 0], hits.min(axis=0) - cell),
                          np.minimum(dom[:, 1], hits.max(axis=0) + cell)], axis=1)
     else:
         outer = np.array(search, dtype=float)
         hits, span = inside[None, :], outer
-    witness = hits[[np.argmin(hits[:, 0]), np.argmax(hits[:, 0]),
-                    np.argmin(hits[:, 1]), np.argmax(hits[:, 1])]]
+    witness = _extremes(hits)
     along, across = np.array([1, 1, 0, 0]), np.array([0, 0, 1, 1])  # axis of line, of edge
     ends, through = witness[np.arange(4), across], witness[np.arange(4), along]
     dom_edges, lo_edges, hi_edges = dom.ravel(), dom[across, 0], dom[across, 1]
@@ -386,9 +410,10 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, u, v, r,
                n_grid: int = 512) -> MuEstimate:
     """Degree-3 surface measure of the patch inside B(p, r), p the image of (u, v).
 
-    An n_grid x n_grid hit grid on the domain, (u, v) counted as a hit,
-    locates the preimage box (`_param_bounding_box`) that `_box_measure`
-    integrates; `truncated` is set when the ball reaches the patch boundary.
+    An n_grid x n_grid hit grid on the domain, (u, v) counted as a hit and
+    evaluated in blocks of GRID_POINTS nodes, locates the preimage box
+    (`_param_bounding_box`) that `_box_measure` integrates; `truncated` is
+    set when the ball reaches the patch boundary.
     A base point off the domain or with a non-finite image raises
     ConfigurationError.
     """
@@ -400,9 +425,16 @@ def mu_measure(patch: SurfacePatch, d: DistanceSpec, u, v, r,
 
 
 def surface_measure_total(patch: SurfacePatch, n_grid: int = 512) -> float:
-    """Degree-3 measure of the whole patch (no ball restriction)."""
-    U, V, cell = _midpoint_grid(patch.domain, n_grid)
-    return float(np.sum(degree3_density(patch, U, V)) * cell)
+    """Degree-3 measure of the whole patch (no ball restriction).
+
+    The n_grid x n_grid midpoint rule: the densities of `_grid_blocks` are
+    written block by block into one n_grid^2 array, summed by one np.sum.
+    """
+    blocks, cell = _grid_blocks(patch.domain, n_grid)
+    dens = np.empty(n_grid * n_grid)
+    for k, U, V in blocks:
+        dens[k] = degree3_density(patch, U, V)
+    return float(np.sum(dens) * cell)
 
 
 def density_curve(patch: SurfacePatch, d: DistanceSpec, u, v, radii,
@@ -530,16 +562,30 @@ def graph_area_levelset(f: LevelSetSpec, region, d: DistanceSpec,
     J_H f = sqrt((X f)^2 + (Y f)^2).  Requires X f > 0 on the region.  This
     is not the spherical measure, which is sigma divided by the spherical
     factor of the tangent planes; `d` is not read.
+
+    The n_grid x n_grid midpoint rule runs in the blocks of `_grid_blocks`,
+    whose integrands fill one n_grid^2 array, summed by one np.sum.  A cell
+    whose coset leaves the window is named by the first block that meets
+    one; X f <= 0 is reported after the last block, at the graph point of
+    least X f (the first in flat order on a tie), as one np.min and
+    np.argmin over the whole grid find it.
     """
-    U, V, cell = _midpoint_grid(region, n_grid)
-    _, pts = _graph_points(f, U, V)
-    grad = f.gradient(pts)
-    xf = grad[:, 0] - 0.5 * pts[:, 1] * grad[:, 2]
-    yf = grad[:, 1] + 0.5 * pts[:, 0] * grad[:, 2]
-    if np.min(xf) <= 0.0:
-        i = int(np.argmin(xf))
-        raise ValueError(f"J_V f <= 0 at graph point {pts[i].tolist()}; the "
+    blocks, cell = _grid_blocks(region, n_grid)
+    integrand = np.empty(n_grid * n_grid)
+    low, low_point = np.inf, None
+    for k, U, V in blocks:
+        _, pts = _graph_points(f, U, V)
+        grad = f.gradient(pts)
+        xf = grad[:, 0] - 0.5 * pts[:, 1] * grad[:, 2]
+        yf = grad[:, 1] + 0.5 * pts[:, 0] * grad[:, 2]
+        block_low = np.min(xf)
+        if block_low < low:
+            low_point = pts[np.argmin(xf)]
+        low = np.minimum(low, block_low)  # NaN stays, as in one np.min
+        with np.errstate(divide="ignore", invalid="ignore"):  # X f = 0 is refused below
+            integrand[k] = np.hypot(xf, yf) / xf
+    if low <= 0.0:
+        raise ValueError(f"J_V f <= 0 at graph point {low_point.tolist()}; the "
                          "area-formula hypothesis fails on this region")
-    integrand = np.hypot(xf, yf) / xf
     # |V ^ W| = 1 for the orthonormal frame (e1; e2, e3)
     return float(np.sum(integrand) * cell)

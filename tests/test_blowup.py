@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -386,7 +388,8 @@ class TestSolverCounts:
         np.testing.assert_allclose(s, U.ravel() ** 2, atol=1e-12)
 
     def test_density_curve_gauge_calls(self, g, monkeypatch):
-        # per README curve: exactly one 512^2 hit grid, for the first radius
+        # per README curve: one 512^2 hit grid in blocks of at most
+        # GRID_POINTS, all for the first radius before its first edge scan
         # (the others bracket from the base point), no one-point check of
         # the base point, at most 6 edge scans of 4 x 17 lines and at most
         # 30 probe calls of 4 lines, each line of 512 points and refined by
@@ -419,8 +422,11 @@ class TestSolverCounts:
             density_curve(paraboloid(g), d, *point, (0.4, 0.2, 0.1))
             scans, probes = located.count(4 * 17 * 512), located.count(4 * 512)
             refined = located.count(4 * 17 * 64) + located.count(4 * 64)
-            assert located.count(512 * 512) == 1 and located.count(1) == 0
-            assert len(located) == 1 + scans + probes + refined
+            blocks = -(-512 * 512 // blowup.GRID_POINTS)
+            grid = located[:blocks]
+            assert max(grid) <= blowup.GRID_POINTS and sum(grid) == 512 * 512
+            assert located.count(1) == 0
+            assert len(located) == blocks + scans + probes + refined
             assert scans <= 6 and probes <= 30 and refined == 2 * (scans + probes)
             assert 0 < sum(integral) <= 512 * 512
 
@@ -514,3 +520,124 @@ class TestPinnedValues:
         route = surface_measure_total(levelset_patch(f, region), n_grid=256)
         assert area == pytest.approx(1.4789417202288018, rel=1e-9, abs=0)
         assert route == pytest.approx(1.4789417197316044, rel=1e-9, abs=0)
+
+
+def float_bits(*values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def across_blocks(monkeypatch, n, run):
+    """run() at the default GRID_POINTS, at 1000 (cutting grid rows) and at >= n^2."""
+    out = []
+    for points in (blowup.GRID_POINTS, 1000, max(n * n, blowup.GRID_POINTS)):
+        monkeypatch.setattr(blowup, "GRID_POINTS", points)
+        out.append(run())
+    return out
+
+
+def error_message(run):
+    with pytest.raises(ValueError) as err:
+        run()
+    return str(err.value)
+
+
+def peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestGridBlocks:
+    """The n_grid^2 grids run in blocks: every output keeps its bits, in bounded memory."""
+
+    GRAPH_AREA = ExperimentConfig({
+        "group": "heisenberg1", "distance": {"family": "dinf", "params": {"c": 2}},
+        "surface": {"kind": "levelset", "expr": {"f": "x - y**2"},
+                    "domain": [[0, 1], [0, 1]]}})
+
+    @pytest.mark.parametrize("name", sorted(PARABOLOID))
+    def test_readme_density_curve(self, name, monkeypatch):
+        distance, point, _, _ = PARABOLOID[name]
+        cfg = ExperimentConfig({
+            "group": "heisenberg1", "distance": distance,
+            "surface": {"kind": "param",
+                        "expr": {"x": "(u*u + v*v)/4", "y": "u", "t": "v"},
+                        "domain": [[-1, 1], [-1, 1]]}})
+        g = cfg.group()
+        patch, d = cfg.surface(g), cfg.distance(g)
+
+        def run():
+            curve = density_curve(patch, d, *point, (0.4, 0.2, 0.1), n_grid=512)
+            return (float_bits(*curve.ratios, curve.limit, curve.uncertainty), curve.truncated,
+                    float_bits(surface_measure_total(patch, n_grid=512)))
+        default, ragged, whole = across_blocks(monkeypatch, 512, run)
+        assert default == ragged == whole
+
+    def test_graph_area_routes(self, g, monkeypatch):
+        f, region = self.GRAPH_AREA.surface(g)
+        d = self.GRAPH_AREA.distance(g)
+
+        def run():
+            return float_bits(graph_area_levelset(f, region, d, n_grid=256),
+                              surface_measure_total(levelset_patch(f, region), n_grid=256))
+        default, ragged, whole = across_blocks(monkeypatch, 256, run)
+        assert default == ragged == whole
+
+    def test_window_error_names_first_bad_cell(self, g, monkeypatch):
+        # the roots leave |s| <= 8 from the u row 29 of 64 on, flat index 1856,
+        # in the second block of 1000
+        f = LevelSetSpec(group=g, fn=lambda p: p[:, 0] - 20.0 * (p[:, 1] > 0.45))
+        messages = across_blocks(monkeypatch, 64, lambda: error_message(
+            lambda: graph_area_levelset(f, ((0.0, 1.0), (0.0, 1.0)), dinf(g), n_grid=64)))
+        assert len(set(messages)) == 1
+        assert "coset window" in messages[0] and "(0.460938, 0.0078125)" in messages[0]
+
+    def test_jacobian_error_names_least_x_f(self, g, monkeypatch):
+        # X f = a(u) is -0.5 on the first two u rows (first block of 1000) and
+        # least, -2, on rows 21 and 42 of 64 (flat indices 1344 and 2688, the
+        # second and third blocks); the first in flat order is named
+        def a(y):
+            least = (np.abs(y - 0.336) < 0.005) | (np.abs(y - 0.664) < 0.005)
+            return np.where(y < 0.03, -0.5, np.where(least, -2.0, 1.0))
+
+        f = LevelSetSpec(group=g, fn=lambda p: p[:, 0] * a(p[:, 1]))
+        messages = across_blocks(monkeypatch, 64, lambda: error_message(
+            lambda: graph_area_levelset(f, ((0.0, 1.0), (0.0, 1.0)), dinf(g), n_grid=64)))
+        assert len(set(messages)) == 1
+        assert "J_V f <= 0 at graph point [0.0, 0.3359375, 0.0078125]" in messages[0]
+
+    @pytest.mark.parametrize("n_grid", [-3, 0, 2.5, 64.0, True, "64", None])
+    def test_n_grid_refused(self, g, n_grid):
+        patch = vertical_plane(g)
+        f, region = self.GRAPH_AREA.surface(g)
+        match = f"n_grid must be an integer >= 1, got {n_grid!r}"
+        for run in (lambda: mu_measure(patch, dinf(g), 0.0, 0.0, 0.2, n_grid=n_grid),
+                    lambda: density_curve(patch, dinf(g), 0.0, 0.0, (0.2, 0.1), n_grid=n_grid),
+                    lambda: surface_measure_total(patch, n_grid=n_grid),
+                    lambda: graph_area_levelset(f, region, dinf(g), n_grid=n_grid)):
+            with pytest.raises(ValueError) as err:
+                run()
+            assert str(err.value) == match
+
+    def test_numpy_integer_n_grid(self, g):
+        patch = vertical_plane(g)
+        assert surface_measure_total(patch, n_grid=np.int64(16)) \
+            == surface_measure_total(patch, n_grid=16)
+
+    def test_mu_grid_memory(self, g):
+        # one 2048^2 hit grid peaked at 352 MiB
+        patch, d = paraboloid(g), dinf(g, c=2.0)
+        d.ball_gauge(g.zero(), 1.0, g.zero())  # any lazy set-up of d happens here
+        assert peak_bytes(lambda: mu_measure(patch, d, 0.0, 0.0, 0.4, n_grid=2048)) <= 16 << 20
+
+    def test_area_routes_memory(self, g):
+        # the whole 512^2 grid peaked at 28.0 MiB (graph area) and 46.3 MiB
+        # (its surface-measure cross-check)
+        f, region = self.GRAPH_AREA.surface(g)
+        d = self.GRAPH_AREA.distance(g)
+        assert peak_bytes(lambda: graph_area_levelset(f, region, d, n_grid=512)) <= 10 << 20
+        assert peak_bytes(lambda: surface_measure_total(levelset_patch(f, region),
+                                                        n_grid=512)) <= 10 << 20
